@@ -1,0 +1,84 @@
+"""Cross-version determinism pins.
+
+The other determinism tests compare two runs made in one process; these
+compare against sha256 digests recorded once, so a change of code or of a
+library version that moves a single simulated or written byte fails here.
+A change that alters these digests on purpose must say so and why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sepaird import SimParams, SweepGrid, init_world, quantile_series, run, sweep
+from sepaird.montecarlo import write_dataset, write_manifest
+from sepaird.svg import render_quantile_lines
+
+WORLD_DIGESTS = {
+    "mutation_free": (
+        dict(mutation_prob=0.0),
+        "9ba5cd1fb6d0a50babdc0988ce8e876e42401eeee8eb5d5df803dc97c474d35d",
+    ),
+    "default": (
+        dict(),
+        "393c0c862f8882f222bada587545d4c5a0716965773eacc2c61d3f50a018f921",
+    ),
+    "high_mutation_drift": (
+        dict(mutation_prob=0.1, drift_prob=0.5),
+        "362a158c6d0e7f030ff17ef717c2c74661f56ae98746cf73ef6337d38e38554c",
+    ),
+}
+
+DATASET_DIGEST = "ef307d93e16975c7613f4c961f1bcf5505f2f3e37de4404418306c22e012bfc8"
+MANIFEST_DIGEST = "f1520670ef020fa6b0ef30005cb149e57bc6a0aff40ae94713c4210b9b186ed1"
+SVG_DIGEST = "7225ab0091639d0e54fabdfc0a55ed75887573454c71136ae36077034227302d"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pin_message(what: str) -> str:
+    return f"{what} bytes changed (numpy {np.__version__})"
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_DIGESTS))
+def test_world_state_bytes_are_pinned(name):
+    overrides, digest = WORLD_DIGESTS[name]
+    p = SimParams(n_agents=2000, horizon=200, seed=7, **overrides)
+    w = run(init_world(p))
+    assert _sha256(w.state_bytes()) == digest, _pin_message(f"state of {name} run")
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep():
+    grid = SweepGrid(
+        base=SimParams(n_agents=200, n_initial_infected=5, seed=7),
+        mutation_probs=(0.0, 0.05),
+        cross_immunities=(0.5,),
+        cross_protections=(0.99,),
+        isolations=(False, True),
+        distancings=(0.0,),
+        replications=3,
+        horizon=20,
+        base_seed=42,
+    )
+    return grid, sweep(grid)
+
+
+def test_sweep_files_are_pinned(tmp_path, tiny_sweep):
+    grid, dataset = tiny_sweep
+    write_dataset(dataset, tmp_path / "dataset.csv")
+    write_manifest(grid, tmp_path / "manifest.csv")
+    data = (tmp_path / "dataset.csv").read_bytes()
+    manifest = (tmp_path / "manifest.csv").read_bytes()
+    assert _sha256(data) == DATASET_DIGEST, _pin_message("dataset.csv")
+    assert _sha256(manifest) == MANIFEST_DIGEST, _pin_message("manifest.csv")
+
+
+def test_quantile_svg_is_pinned(tiny_sweep):
+    _, dataset = tiny_sweep
+    rows = quantile_series(dataset, "share_infected")
+    svg = render_quantile_lines(rows, "share_infected").encode("utf-8")
+    assert _sha256(svg) == SVG_DIGEST, _pin_message("quantile SVG")
