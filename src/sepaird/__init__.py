@@ -4,7 +4,8 @@ Library layers:
 
 - ``params``: validated simulation parameters and flat config files.
 - ``rng``: seeded random streams and stable seed derivation.
-- ``variants``: the phylogenetic and antigenic-cluster registries.
+- ``variants``: property-row column constants, the mutation kernel, and
+  the phylogenetic and antigenic-cluster registries.
 - ``ode``: deterministic SEPAIRD compartmental reference model.
 - ``abm``: the agent-based evolutionary engine.
 - ``phylo``: tree distances and variant fitness metrics.
@@ -67,7 +68,6 @@ from .rng import RngStream, derive_seed
 from .variants import (
     ClusterRecord,
     Registry,
-    VariantProps,
     VariantRecord,
     mutate_props,
     spawn_variant,
@@ -96,7 +96,6 @@ __all__ = [
     "SweepDataset",
     "SweepGrid",
     "Trajectory",
-    "VariantProps",
     "VariantRecord",
     "VariantStats",
     "World",

@@ -22,7 +22,16 @@ import numpy as np
 
 from .params import SimParams, validate_params
 from .rng import RngStream
-from .variants import Registry, VariantProps, spawn_variant, wild_type_props
+from .variants import (
+    DURATION,
+    FATALITY,
+    INFECTIOUSNESS,
+    LATENT_END,
+    SYMPTOMATIC_CHANCE,
+    Registry,
+    spawn_variant,
+    wild_type_props,
+)
 
 _NO_INFECTION = -1
 _UNDETERMINED = -1
@@ -73,14 +82,15 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def draw_course(v: VariantProps, sigma_ii: float, rng: RngStream) -> CourseThresholds:
-    """Draw individual day marks around the variant's course means.
+def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> CourseThresholds:
+    """Draw individual day marks around a variant's course means.
 
-    Each mark is Gaussian with standard deviation ``mean * sigma_ii``,
-    truncated below at 0 and rounded to the nearest integer (half away
-    from zero).
+    ``props`` is the variant's property row; its latent end, incubation
+    end and duration columns are the means.  Each mark is Gaussian with
+    standard deviation ``mean * sigma_ii``, truncated below at 0 and
+    rounded to the nearest integer (half away from zero).
     """
-    means = np.array([v.latent_end, v.incubation_end, v.duration])
+    means = props[LATENT_END : DURATION + 1]
     raw = rng.normal(means, means * sigma_ii)
     l, b, d = _round_half_up(np.maximum(raw, 0.0)).astype(np.int64)
     return CourseThresholds(latent_end=int(l), symptom_day=int(b), end_day=int(d))
@@ -192,7 +202,7 @@ class World:
     # -- infection -----------------------------------------------------
 
     def _infect(self, agent: int, variant: int):
-        props = VariantProps.from_array(self.registry.props_matrix[variant])
+        props = self.registry.props_matrix[variant]
         course = draw_course(props, self.params.course_sd_frac, self.rng)
         self.variant_of[agent] = variant
         self.counter[agent] = 0
@@ -222,7 +232,7 @@ class World:
         new_cluster = -1
         if self.rng.bernoulli(p.mutation_prob):
             drift = self.rng.bernoulli(p.drift_prob)
-            rec = spawn_variant(
+            variant = spawn_variant(
                 self.registry,
                 source_variant,
                 drift,
@@ -232,12 +242,12 @@ class World:
                 self.rng,
             )
             self._ensure_variant_slots()
-            variant = rec.id
-            self._log("mutation", target, variant, rec.cluster)
+            cluster = int(self.registry.variant_cluster[variant])
+            self._log("mutation", target, variant, cluster)
             if drift:
                 self._ensure_cluster_columns()
-                new_cluster = rec.cluster
-                self._log("drift", target, variant, rec.cluster)
+                new_cluster = cluster
+                self._log("drift", target, variant, cluster)
         self._infect(target, variant)
         if new_cluster >= 0:
             parent_cluster = self.registry.cluster_parent(new_cluster)
@@ -273,7 +283,7 @@ class World:
         targets = living[idx]
         rolls = self.rng.uniform(size=(carriers.size, eta))
         source = self.variant_of[carriers]
-        infectiousness = np.minimum(self.registry.props_matrix[source, 0], 1.0)
+        infectiousness = np.minimum(self.registry.props_matrix[source, INFECTIOUSNESS], 1.0)
         transmit = infectiousness * (1.0 - self.params.social_distancing)
         clusters = self.registry.variant_cluster[source]
         open_target = self.variant_of[targets] < 0
@@ -305,10 +315,9 @@ class World:
             & (count >= self.symptom_day[infected])
             & (self.symptom_day[infected] < self.end_day[infected])
         ]
+        props = self.registry.props_matrix
         if symptoms_due.size:
-            chance = np.minimum(
-                self.registry.props_matrix[self.variant_of[symptoms_due], 4], 1.0
-            )
+            chance = np.minimum(props[self.variant_of[symptoms_due], SYMPTOMATIC_CHANCE], 1.0)
             flags = self.rng.uniform(size=symptoms_due.size) < chance
             self.symptomatic[symptoms_due] = flags.astype(np.int8)
             if self.params.isolate_symptomatic:
@@ -316,7 +325,7 @@ class World:
         ending = infected[self.counter[infected] >= self.end_day[infected]]
         if ending.size == 0:
             return
-        fatality = np.minimum(self.registry.props_matrix[self.variant_of[ending], 5], 1.0)
+        fatality = np.minimum(props[self.variant_of[ending], FATALITY], 1.0)
         protected = self.immune[ending, : self.registry.n_clusters].any(axis=1)
         fatality = np.where(protected, fatality * (1.0 - self.params.cross_protection), fatality)
         dies = self.rng.uniform(size=ending.size) < fatality

@@ -127,7 +127,7 @@ def _cmd_sweep(args) -> int:
         grid = grid_from_text(fh.read(), base, replications=args.reps)
     jobs = _jobs_from(args)
     os.makedirs(args.out, exist_ok=True)
-    dataset = sweep(grid, jobs=max(jobs, 1))
+    dataset = sweep(grid, jobs=jobs)
     write_dataset(dataset, os.path.join(args.out, "dataset.csv"))
     write_manifest(grid, os.path.join(args.out, "manifest.csv"))
     return _EXIT_OK

@@ -209,6 +209,8 @@ def validate_grid(g: SweepGrid) -> SweepGrid:
     for name, values in lists.items():
         if len(values) == 0:
             raise DatasetError(f"grid dimension {name} is empty")
+        if len(set(values)) < len(values):
+            raise DatasetError(f"grid dimension {name} lists a value twice")
     if g.replications < 1:
         raise DatasetError("replications must be >= 1")
     if g.horizon < 1:
@@ -233,7 +235,8 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
 
     Omitted dimensions collapse to the base parameter value.  Lines use
     ``key = v1, v2, ...`` with ``#`` comments; unknown or duplicate keys
-    are errors.
+    and values listed twice are errors.  ``-0.0`` reads as ``0.0``: the two
+    compare equal, so they must key and seed one scenario.
     """
     from .params import parse_scalar
 
@@ -254,9 +257,12 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
         if not any(items):
             raise DatasetError(f"grid line {lineno}: empty value list")
         try:
-            values[key] = tuple(parse_scalar(key, cell) for cell in items if cell)
+            parsed = tuple(parse_scalar(key, cell) for cell in items if cell)
         except ValueError as exc:
             raise DatasetError(f"grid line {lineno}: bad value ({exc})") from exc
+        if len(set(parsed)) < len(parsed):
+            raise DatasetError(f"grid line {lineno}: {key!r} lists a value twice")
+        values[key] = tuple(0.0 if isinstance(v, float) and v == 0.0 else v for v in parsed)
     fields = {
         _GRID_FIELD_OF[key]: values.get(key, (getattr(base, key),))
         for key in _GRID_FIELD_OF
@@ -314,6 +320,8 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     ``progress`` is called after each finished replication with
     (done, total).
     """
+    if jobs < 1:
+        raise DatasetError(f"jobs must be >= 1, got {jobs}")
     validate_grid(grid)
     scenario_list = grid.scenarios()
     tasks = [
@@ -322,7 +330,7 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
         for replication in range(grid.replications)
     ]
     results = []
-    if jobs <= 1:
+    if jobs == 1:
         for task in tasks:
             results.append(_sweep_task(task))
             if progress is not None:

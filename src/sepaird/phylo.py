@@ -10,23 +10,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .variants import Registry, VariantProps
+from .variants import (
+    DURATION,
+    FATALITY,
+    INCUBATION_END,
+    INFECTIOUSNESS,
+    LATENT_END,
+    SYMPTOMATIC_CHANCE,
+    Registry,
+)
 
-# column indices into Registry.props_matrix
-_I, _L, _B, _D, _V, _F = range(6)
 
-
-def variant_r0(v: VariantProps, eta: int) -> float:
+def variant_r0(props: np.ndarray, eta: int) -> float:
     """Expected secondary infections: contacts x infectiousness x window.
 
     The infectious window runs from the latent end to the course end;
     infectiousness acts as a probability, so it is clamped at 1 and the
-    window is floored at 0.
+    window is floored at 0.  ``props`` is one property row.
     """
-    return eta * min(v.infectiousness, 1.0) * max(v.duration - v.latent_end, 0.0)
+    i = min(props[INFECTIOUSNESS], 1.0)
+    return float(eta * i * max(props[DURATION] - props[LATENT_END], 0.0))
 
 
-def variant_r0_adapted(v: VariantProps, eta: int) -> float:
+def variant_r0_adapted(props: np.ndarray, eta: int) -> float:
     """Reproduction number when symptomatic cases are isolated.
 
     Symptomatic courses (probability ``v_m``) only transmit until symptom
@@ -36,19 +42,20 @@ def variant_r0_adapted(v: VariantProps, eta: int) -> float:
     window; the subtraction form keeps adapted == r0 bitwise in that
     case and when ``v_m`` = 0.
     """
-    i = min(v.infectiousness, 1.0)
-    sympt = min(v.symptomatic_chance, 1.0)
-    full = max(v.duration - v.latent_end, 0.0)
-    cut = max(min(v.incubation_end, v.duration) - v.latent_end, 0.0)
-    return eta * i * (full - sympt * (full - cut))
+    i = min(props[INFECTIOUSNESS], 1.0)
+    sympt = min(props[SYMPTOMATIC_CHANCE], 1.0)
+    full = max(props[DURATION] - props[LATENT_END], 0.0)
+    cut = max(min(props[INCUBATION_END], props[DURATION]) - props[LATENT_END], 0.0)
+    return float(eta * i * (full - sympt * (full - cut)))
 
 
 def _r0_arrays(props: np.ndarray, eta: int):
     """Vectorized (r0, r0_adapted, ratio) for a (n, 6) property block."""
-    i = np.minimum(props[:, _I], 1.0)
-    sympt = np.minimum(props[:, _V], 1.0)
-    full = np.maximum(props[:, _D] - props[:, _L], 0.0)
-    cut = np.maximum(np.minimum(props[:, _B], props[:, _D]) - props[:, _L], 0.0)
+    i = np.minimum(props[:, INFECTIOUSNESS], 1.0)
+    sympt = np.minimum(props[:, SYMPTOMATIC_CHANCE], 1.0)
+    full = np.maximum(props[:, DURATION] - props[:, LATENT_END], 0.0)
+    onset = np.minimum(props[:, INCUBATION_END], props[:, DURATION])
+    cut = np.maximum(onset - props[:, LATENT_END], 0.0)
     r0 = eta * i * full
     adapted = eta * i * (full - sympt * (full - cut))
     ratio = np.where(r0 > 0.0, adapted / np.where(r0 > 0.0, r0, 1.0), 1.0)
@@ -94,13 +101,13 @@ class VariantStats:
     adapted_ratio: float
     phylo_depth: int
     cluster_depth: int
-    props: VariantProps
 
 
 def variant_stats(registry: Registry, variant: int, eta: int) -> VariantStats:
     rec = registry.variant(variant)
-    r0 = variant_r0(rec.props, eta)
-    adapted = variant_r0_adapted(rec.props, eta)
+    props = registry.props_matrix[variant]
+    r0 = variant_r0(props, eta)
+    adapted = variant_r0_adapted(props, eta)
     return VariantStats(
         variant_id=rec.id,
         r0=r0,
@@ -108,7 +115,6 @@ def variant_stats(registry: Registry, variant: int, eta: int) -> VariantStats:
         adapted_ratio=adapted / r0 if r0 > 0.0 else 1.0,
         phylo_depth=rec.depth,
         cluster_depth=registry.cluster(rec.cluster).depth,
-        props=rec.props,
     )
 
 
@@ -145,12 +151,12 @@ def summarize_variants(
         mean_adapted_ratio=float(ratio.mean()),
         mean_phylo_depth=float(registry.variant_depth[ids].mean()),
         max_antigenic_distance=int(registry.max_cluster_depth()),
-        mean_infectiousness=float(means[_I]),
-        mean_latent_end=float(means[_L]),
-        mean_incubation_end=float(means[_B]),
-        mean_duration=float(means[_D]),
-        mean_symptomatic_chance=float(means[_V]),
-        mean_fatality=float(means[_F]),
+        mean_infectiousness=float(means[INFECTIOUSNESS]),
+        mean_latent_end=float(means[LATENT_END]),
+        mean_incubation_end=float(means[INCUBATION_END]),
+        mean_duration=float(means[DURATION]),
+        mean_symptomatic_chance=float(means[SYMPTOMATIC_CHANCE]),
+        mean_fatality=float(means[FATALITY]),
     )
 
 

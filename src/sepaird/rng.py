@@ -41,10 +41,6 @@ class RngStream:
         """Uniform integer draw(s) on [low, high)."""
         return self._gen.integers(low, high, size=size)
 
-    def choice_index(self, n: int) -> int:
-        """Uniform index on [0, n)."""
-        return int(self._gen.integers(0, n))
-
 
 def splitmix64(x: int) -> int:
     """One splitmix64 scrambling round (public-domain constants)."""

@@ -2,6 +2,10 @@
 
 A variant is a vector of six disease properties and a position in the
 phylogenetic tree; each variant also belongs to an antigenic cluster.
+The property vector exists in one form only: a float64 row of
+``Registry.props_matrix`` in ``PROP_NAMES`` order, indexed by the column
+constants ``INFECTIOUSNESS``, ``LATENT_END``, ``INCUBATION_END``,
+``DURATION``, ``SYMPTOMATIC_CHANCE`` and ``FATALITY``.
 Mutations scale every property by an independent multiplicative Gaussian
 shock floored at -0.99, so properties stay strictly positive.  A fraction
 of mutations carries an antigenic drift, which opens a new cluster as a
@@ -30,50 +34,15 @@ PROP_NAMES = (
     "fatality",
 )
 N_PROPS = len(PROP_NAMES)
+INFECTIOUSNESS, LATENT_END, INCUBATION_END, DURATION, SYMPTOMATIC_CHANCE, FATALITY = range(N_PROPS)
 
 # Multiplicative shocks are floored here so properties never reach zero.
 SHOCK_FLOOR = -0.99
 
 
-@dataclass(frozen=True)
-class VariantProps:
-    """The six evolving disease properties of one variant (raw values)."""
-
-    infectiousness: float
-    latent_end: float
-    incubation_end: float
-    duration: float
-    symptomatic_chance: float
-    fatality: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.infectiousness,
-                self.latent_end,
-                self.incubation_end,
-                self.duration,
-                self.symptomatic_chance,
-                self.fatality,
-            ],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def from_array(vec) -> "VariantProps":
-        return VariantProps(*(float(x) for x in vec))
-
-
-def wild_type_props(p: SimParams) -> VariantProps:
-    """Wild-type property vector from the run parameters."""
-    return VariantProps(
-        infectiousness=p.infectiousness0,
-        latent_end=p.latent_end0,
-        incubation_end=p.incubation_end0,
-        duration=p.duration0,
-        symptomatic_chance=p.symptomatic_chance0,
-        fatality=p.fatality0,
-    )
+def wild_type_props(p: SimParams) -> np.ndarray:
+    """Wild-type property row from the run parameters."""
+    return np.array([getattr(p, f"{name}0") for name in PROP_NAMES], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,7 +52,6 @@ class VariantRecord:
     id: int
     parent: int | None
     cluster: int
-    props: VariantProps
     depth: int
     born_step: int
 
@@ -99,15 +67,15 @@ class ClusterRecord:
 
 
 def mutate_props(
-    parent: VariantProps, theta: float, sigma_i: float, rng: RngStream
-) -> VariantProps:
-    """Apply one multiplicative mutation to every property.
+    parent: np.ndarray, theta: float, sigma_i: float, rng: RngStream
+) -> np.ndarray:
+    """Apply one multiplicative mutation to every property of a row.
 
     Each property k becomes ``parent_k * (1 + omega_k)`` with omega_k an
     independent Gaussian(theta, sigma_i) draw floored at -0.99.
     """
     omega = np.maximum(rng.normal(theta, sigma_i, size=N_PROPS), SHOCK_FLOOR)
-    return VariantProps.from_array(parent.as_array() * (1.0 + omega))
+    return parent * (1.0 + omega)
 
 
 class Registry:
@@ -118,7 +86,7 @@ class Registry:
     growable float matrix so the simulation hot path can index them in bulk.
     """
 
-    def __init__(self, wild_props: VariantProps):
+    def __init__(self, wild_props: np.ndarray):
         cap = 64
         self._props = np.zeros((cap, N_PROPS), dtype=np.float64)
         self._parent = np.full(cap, -1, dtype=np.int64)
@@ -132,7 +100,7 @@ class Registry:
         self._cl_children: list[list[int]] = [[]]
         self.n_clusters = 1
 
-        self._append_variant(wild_props.as_array(), parent=-1, cluster=0, depth=0, step=0)
+        self._append_variant(wild_props, parent=-1, cluster=0, depth=0, step=0)
 
     # -- variants ---------------------------------------------------------
 
@@ -162,7 +130,6 @@ class Registry:
             id=vid,
             parent=None if parent < 0 else parent,
             cluster=int(self._cluster[vid]),
-            props=VariantProps.from_array(self._props[vid]),
             depth=int(self._depth[vid]),
             born_step=int(self._born[vid]),
         )
@@ -204,12 +171,6 @@ class Registry:
     def cluster_parent(self, cid: int) -> int | None:
         return self._cl_parent[cid]
 
-    def cluster_depth(self, cid: int) -> int:
-        return self._cl_depth[cid]
-
-    def cluster_children(self, cid: int) -> list:
-        return self._cl_children[cid]
-
     def cluster_neighbors(self, cid: int):
         """Tree neighbors of a cluster: parent first, then children in order."""
         parent = self._cl_parent[cid]
@@ -238,21 +199,19 @@ def spawn_variant(
     theta: float,
     sigma_i: float,
     rng: RngStream,
-) -> VariantRecord:
-    """Create one mutated child of ``parent_id``, optionally with a drift.
+) -> int:
+    """Create one mutated child of ``parent_id`` and return its id.
 
     The child's cluster is the parent's unless ``drift``, in which case a
     fresh cluster is opened as a child of the parent's cluster.
     """
-    parent_props = VariantProps.from_array(registry._props[parent_id])
-    vec = mutate_props(parent_props, theta, sigma_i, rng).as_array()
+    vec = mutate_props(registry._props[parent_id], theta, sigma_i, rng)
     parent_cluster = int(registry._cluster[parent_id])
     cluster = registry.add_cluster(parent_cluster) if drift else parent_cluster
-    vid = registry._append_variant(
+    return registry._append_variant(
         vec,
         parent=parent_id,
         cluster=cluster,
         depth=int(registry._depth[parent_id]) + 1,
         step=step,
     )
-    return registry.variant(vid)

@@ -8,9 +8,8 @@ from sepaird import SimParams, init_world, run
 from sepaird.montecarlo import Scenario, collect_world_run
 from sepaird.params import ConfigError
 from sepaird.rng import RngStream
-from sepaird.variants import VariantProps
 
-WILD = VariantProps(0.0625, 4.0, 6.0, 8.0, 0.7, 0.01)
+WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
 
 class PresetNormals:

@@ -31,12 +31,11 @@ from sepaird.ode import (
 )
 from sepaird.phylo import active_variant_stats, variant_r0, variant_r0_adapted
 from sepaird.rng import RngStream
-from sepaird.variants import VariantProps
 
 N = 10_000
 REPS = 100
 BASE_SEED = 42
-WILD = VariantProps(0.0625, 4.0, 6.0, 8.0, 0.7, 0.01)
+WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
 
 def _arm(scenario: Scenario, horizon: int, collect, reps: int = REPS) -> list:

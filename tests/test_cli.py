@@ -170,6 +170,19 @@ def test_sweep_rejects_bad_jobs_env(config, grid_file, tmp_path, monkeypatch, ca
     assert "SEPAIRD_JOBS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,env", [("0", None), ("-5", None), (None, "0")])
+def test_sweep_rejects_jobs_below_one(config, grid_file, tmp_path, monkeypatch, capsys,
+                                      flag, env):
+    argv = ["sweep", config, "--grid", grid_file, "--reps", "1", "--out", str(tmp_path / "x")]
+    if flag is not None:
+        argv += ["--jobs", flag]
+    if env is not None:
+        monkeypatch.setenv("SEPAIRD_JOBS", env)
+    assert main(argv) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "dataset.csv").exists()
+
+
 def test_sweep_rejects_bad_grid(config, tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text("n_agents = 10, 20\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -131,6 +132,8 @@ def test_validate_grid_rejects_bad_shapes(mini_grid):
         validate_grid(dataclasses.replace(mini_grid, horizon=0))
     with pytest.raises(ConfigError):
         validate_grid(dataclasses.replace(mini_grid, distancings=(1.5,)))
+    with pytest.raises(DatasetError, match="mutation_prob lists a value twice"):
+        validate_grid(dataclasses.replace(mini_grid, mutation_probs=(0.05, 0.05)))
 
 
 def test_grid_from_text_full(base_params):
@@ -164,6 +167,8 @@ def test_grid_from_text_trailing_commas(base_params):
         ("mutation_prob 0.1", "expected key=value"),
         ("n_agents = 10", "unknown dimension"),
         ("mutation_prob = 0.1\nmutation_prob = 0.2", "duplicate"),
+        ("mutation_prob = 0.01, 0.01", "'mutation_prob' lists a value twice"),
+        ("social_distancing = 0.0, -0.0", "'social_distancing' lists a value twice"),
         ("mutation_prob =", "empty value list"),
         ("mutation_prob = abc", "bad value"),
         ("isolate_symptomatic = maybe", "bad value"),
@@ -172,6 +177,15 @@ def test_grid_from_text_trailing_commas(base_params):
 def test_grid_from_text_rejects(text, fragment, base_params):
     with pytest.raises(DatasetError, match=fragment):
         grid_from_text(text, base_params)
+
+
+def test_grid_from_text_reads_negative_zero_as_zero(base_params):
+    # -0.0 == 0.0, so a scenario keyed and seeded by "-0.0" would be
+    # pooled with the "0.0" one wherever scenarios are grouped
+    negative = grid_from_text("social_distancing = -0.0\n", base_params)
+    positive = grid_from_text("social_distancing = 0.0\n", base_params)
+    assert math.copysign(1.0, negative.distancings[0]) == 1.0
+    assert negative.scenarios()[0].key() == positive.scenarios()[0].key()
 
 
 def test_grid_from_text_reports_line_numbers(base_params):

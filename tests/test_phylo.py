@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,14 +13,24 @@ from sepaird.phylo import (
     variant_stats,
 )
 from sepaird.rng import RngStream
-from sepaird.variants import Registry, VariantProps, spawn_variant
+from sepaird.variants import (
+    DURATION,
+    FATALITY,
+    INFECTIOUSNESS,
+    PROP_NAMES,
+    Registry,
+    spawn_variant,
+)
 
-WILD = VariantProps(0.0625, 4.0, 6.0, 8.0, 0.7, 0.01)
+WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 ETA = 10
 
 
 def props(**overrides):
-    return dataclasses.replace(WILD, **overrides)
+    row = WILD.copy()
+    for name, value in overrides.items():
+        row[PROP_NAMES.index(name)] = value
+    return row
 
 
 # -- reproduction numbers ----------------------------------------------
@@ -66,7 +74,7 @@ def test_adapted_zero_when_always_symptomatic_at_latent_end():
     st.floats(0.0, 3.0),
 )
 def test_adapted_never_exceeds_r0(i, latent, onset, end, sympt):
-    v = VariantProps(i, latent, onset, end, sympt, 0.01)
+    v = np.array([i, latent, onset, end, sympt, 0.01])
     r0 = variant_r0(v, ETA)
     adapted = variant_r0_adapted(v, ETA)
     assert 0.0 <= adapted <= r0 + 1e-12
@@ -81,7 +89,7 @@ def chain_registry(depth):
     vid = 0
     for step in range(depth):
         vid = spawn_variant(reg, vid, drift=True, step=step, theta=0.0,
-                            sigma_i=0.1, rng=rng).id
+                            sigma_i=0.1, rng=rng)
     return reg, vid
 
 
@@ -132,14 +140,13 @@ def test_antigenic_distance_is_a_tree_metric(raw_parents, pick):
 def test_variant_stats_fields():
     reg, tip = chain_registry(3)
     s = variant_stats(reg, tip, ETA)
-    rec = reg.variant(tip)
+    row = reg.props_matrix[tip]
     assert s.variant_id == tip
-    assert s.r0 == variant_r0(rec.props, ETA)
-    assert s.r0_adapted == variant_r0_adapted(rec.props, ETA)
+    assert s.r0 == variant_r0(row, ETA)
+    assert s.r0_adapted == variant_r0_adapted(row, ETA)
     assert s.adapted_ratio == pytest.approx(s.r0_adapted / s.r0)
     assert s.phylo_depth == 3
     assert s.cluster_depth == 3
-    assert s.props == rec.props
 
 
 def test_variant_stats_ratio_defaults_to_one_without_spread():
@@ -165,13 +172,13 @@ def test_summary_matches_per_variant_means():
     )
     assert summary.max_antigenic_distance == 6
     assert summary.mean_infectiousness == pytest.approx(
-        np.mean([s.props.infectiousness for s in singles])
+        np.mean([reg.props_matrix[s.variant_id, INFECTIOUSNESS] for s in singles])
     )
     assert summary.mean_duration == pytest.approx(
-        np.mean([s.props.duration for s in singles])
+        np.mean([reg.props_matrix[s.variant_id, DURATION] for s in singles])
     )
     assert summary.mean_fatality == pytest.approx(
-        np.mean([s.props.fatality for s in singles])
+        np.mean([reg.props_matrix[s.variant_id, FATALITY] for s in singles])
     )
 
 

@@ -6,21 +6,28 @@ from hypothesis import strategies as st
 from sepaird import SimParams
 from sepaird.rng import RngStream
 from sepaird.variants import (
+    DURATION,
+    FATALITY,
+    INCUBATION_END,
+    INFECTIOUSNESS,
+    LATENT_END,
+    N_PROPS,
     PROP_NAMES,
+    SYMPTOMATIC_CHANCE,
     Registry,
-    VariantProps,
     mutate_props,
     spawn_variant,
     wild_type_props,
 )
 
-WILD = VariantProps(0.0625, 4.0, 6.0, 8.0, 0.7, 0.01)
+WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
 
 def test_wild_type_props_mapping():
     p = SimParams()
     w = wild_type_props(p)
-    assert w == WILD
+    assert w.dtype == np.float64
+    assert np.array_equal(w, WILD)
 
 
 def test_prop_names_cover_fields():
@@ -32,20 +39,22 @@ def test_prop_names_cover_fields():
         "symptomatic_chance",
         "fatality",
     )
-    assert all(hasattr(WILD, name) for name in PROP_NAMES)
+    columns = (INFECTIOUSNESS, LATENT_END, INCUBATION_END, DURATION, SYMPTOMATIC_CHANCE, FATALITY)
+    assert columns == tuple(range(N_PROPS))
+    assert WILD.shape == (len(PROP_NAMES),)
 
 
 def test_zero_sigma_is_identity():
     child = mutate_props(WILD, theta=0.0, sigma_i=0.0, rng=RngStream(1))
-    assert child == WILD  # exact, not approximate
+    assert np.array_equal(child, WILD)  # exact, not approximate
 
 
 def test_mutation_is_multiplicative():
     rng_a, rng_b = RngStream(3), RngStream(3)
     child = mutate_props(WILD, 0.0, 0.05, rng_a)
     shocks = rng_b.normal(0.0, 0.05, size=6)
-    expected = WILD.as_array() * (1.0 + np.maximum(shocks, -0.99))
-    assert np.array_equal(child.as_array(), expected)
+    expected = WILD * (1.0 + np.maximum(shocks, -0.99))
+    assert np.array_equal(child, expected)
 
 
 @given(
@@ -59,17 +68,16 @@ def test_props_stay_strictly_positive(theta, sigma, seed):
     props = WILD
     for _ in range(5):
         props = mutate_props(props, theta, sigma, rng)
-        arr = props.as_array()
-        assert np.all(arr > 0.0)
+        assert np.all(props > 0.0)
         # the floor also bounds the cumulative shrink: factor >= 0.01 per step
-        assert np.all(arr >= 0.01**5 * WILD.as_array() * 0.999)
+        assert np.all(props >= 0.01**5 * WILD * 0.999)
 
 
 def test_floor_bounds_single_step_shrink():
     rng = RngStream(99)
     for _ in range(300):
         child = mutate_props(WILD, theta=-50.0, sigma_i=0.1, rng=rng)
-        assert np.all(child.as_array() >= 0.01 * WILD.as_array() * (1 - 1e-12))
+        assert np.all(child >= 0.01 * WILD * (1 - 1e-12))
 
 
 def test_registry_initial_state():
@@ -98,8 +106,9 @@ def test_unknown_ids_raise():
 def test_spawn_without_drift_keeps_cluster():
     reg = Registry(WILD)
     rng = RngStream(4)
-    rec = spawn_variant(reg, 0, drift=False, step=3, theta=0.0, sigma_i=0.05, rng=rng)
-    assert rec.id == 1
+    vid = spawn_variant(reg, 0, drift=False, step=3, theta=0.0, sigma_i=0.05, rng=rng)
+    assert vid == 1
+    rec = reg.variant(vid)
     assert rec.parent == 0
     assert rec.cluster == 0
     assert rec.depth == 1
@@ -110,8 +119,8 @@ def test_spawn_without_drift_keeps_cluster():
 def test_spawn_with_drift_opens_child_cluster():
     reg = Registry(WILD)
     rng = RngStream(4)
-    rec = spawn_variant(reg, 0, drift=True, step=7, theta=0.0, sigma_i=0.05, rng=rng)
-    assert rec.cluster == 1
+    vid = spawn_variant(reg, 0, drift=True, step=7, theta=0.0, sigma_i=0.05, rng=rng)
+    assert reg.variant(vid).cluster == 1
     assert reg.cluster(1).parent == 0
     assert reg.cluster(1).depth == 1
     assert reg.n_drifts == 1
@@ -159,7 +168,6 @@ def test_cluster_neighbors_order():
 def test_cluster_children_creation_order():
     reg = Registry(WILD)
     kids = [reg.add_cluster(0) for _ in range(4)]
-    assert reg.cluster_children(0) == kids
     assert reg.cluster(0).children == tuple(kids)
 
 
@@ -179,8 +187,12 @@ def test_props_matrix_rows_match_records():
         spawn_variant(reg, k % reg.n_variants, bool(k % 5 == 0), k, 0.0, 0.1, rng)
     mat = reg.props_matrix
     assert mat.shape == (41, 6)
-    for vid in (0, 1, 17, 40):
-        assert np.array_equal(mat[vid], reg.variant(vid).props.as_array())
+    assert np.array_equal(mat[0], WILD)
+    # each row is its recorded parent's row under the replayed shocks
+    replay = RngStream(2)
+    for vid in range(1, reg.n_variants):
+        expected = mutate_props(mat[reg.variant(vid).parent], 0.0, 0.1, replay)
+        assert np.array_equal(mat[vid], expected)
 
 
 def test_growth_preserves_early_records():
@@ -188,11 +200,11 @@ def test_growth_preserves_early_records():
     reg = Registry(WILD)
     rng = RngStream(6)
     first = spawn_variant(reg, 0, False, 1, 0.0, 0.2, rng)
-    snapshot = first.props.as_array().copy()
+    snapshot = reg.props_matrix[first].copy()
     for k in range(200):
         spawn_variant(reg, 0, k % 7 == 0, k, 0.0, 0.2, rng)
-    assert np.array_equal(reg.variant(1).props.as_array(), snapshot)
-    assert np.array_equal(reg.variant(0).props.as_array(), WILD.as_array())
+    assert np.array_equal(reg.props_matrix[1], snapshot)
+    assert np.array_equal(reg.props_matrix[0], WILD)
 
 
 def test_spawn_consumes_fixed_draw_count():
@@ -202,12 +214,13 @@ def test_spawn_consumes_fixed_draw_count():
     for k in range(10):
         ra = spawn_variant(reg_a, 0, False, k, 0.0, 0.05, rng_a)
         rb = spawn_variant(reg_b, 0, False, k, 0.0, 0.05, rng_b)
-        assert ra.props == rb.props
+        assert np.array_equal(reg_a.props_matrix[ra], reg_b.props_matrix[rb])
 
 
 def test_variant_record_identity_fields():
     reg = Registry(WILD)
     rng = RngStream(8)
-    rec = spawn_variant(reg, 0, True, 11, 0.1, 0.05, rng)
-    again = reg.variant(rec.id)
-    assert again == rec
+    vid = spawn_variant(reg, 0, True, 11, 0.1, 0.05, rng)
+    rec = reg.variant(vid)
+    assert rec.id == vid
+    assert rec == reg.variant(vid)
