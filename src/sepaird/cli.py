@@ -26,6 +26,7 @@ from .montecarlo import (
     read_quantiles,
     replication_seed,
     sweep,
+    validate_sweep,
     write_boxes,
     write_dataset,
     write_manifest,
@@ -126,6 +127,7 @@ def _cmd_sweep(args) -> int:
     with open(args.grid, "r", encoding="utf-8") as fh:
         grid = grid_from_text(fh.read(), base, replications=args.reps)
     jobs = _jobs_from(args)
+    validate_sweep(grid, jobs)
     os.makedirs(args.out, exist_ok=True)
     dataset = sweep(grid, jobs=jobs)
     write_dataset(dataset, os.path.join(args.out, "dataset.csv"))
@@ -190,7 +192,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DatasetError, OdeError) as exc:
+    except (ConfigError, DatasetError, OdeError, UnicodeDecodeError) as exc:
         print(f"sepaird {args.command}: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:

@@ -8,6 +8,11 @@ replication's seed is derived from the base seed and the scenario
 content, so results never depend on grid order, execution order, or the
 number of worker processes.
 
+The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
+``Scenario``, ``CSV_COLUMNS`` the fields of ``MetricRow`` (which extends
+``Scenario``), and ``METRIC_FIELDS`` a slice of them; the aggregation
+tables' columns are the scenario fields plus those of their row types.
+
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications.
 """
@@ -18,12 +23,12 @@ import dataclasses
 import itertools
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .abm import init_world, run
-from .params import SimParams, validate_params
+from .params import SimParams, parse_scalar, validate_params
 from .phylo import active_variant_stats
 from .rng import derive_seed
 
@@ -31,33 +36,6 @@ from .rng import derive_seed
 class DatasetError(ValueError):
     """Malformed dataset file or an aggregation request it cannot serve."""
 
-
-SCENARIO_FIELDS = (
-    "mutation_prob",
-    "cross_immunity",
-    "cross_protection",
-    "isolate_symptomatic",
-    "social_distancing",
-)
-
-METRIC_FIELDS = (
-    "share_infected",
-    "mortality",
-    "cumulative_infected_share",
-    "mean_r0",
-    "mean_adapted_ratio",
-    "max_antigenic_distance",
-    "mean_phylo_distance",
-    "mean_infectiousness",
-    "mean_latent_end",
-    "mean_incubation_end",
-    "mean_duration",
-    "mean_symptomatic_chance",
-    "mean_fatality",
-    "active_variant_count",
-)
-
-CSV_COLUMNS = SCENARIO_FIELDS + ("replication", "step") + METRIC_FIELDS + ("extinct",)
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -75,37 +53,24 @@ class Scenario:
     def key(self) -> str:
         """Canonical scenario string; replication seeds hash this, so the
         format is load-bearing and must stay stable."""
-        parts = []
-        for name in SCENARIO_FIELDS:
-            value = getattr(self, name)
-            text = _format_value(value)
-            parts.append(f"{name}={text}")
-        return ",".join(parts)
+        cells = _scenario_cells(self)
+        return ",".join(f"{name}={text}" for name, text in zip(SCENARIO_FIELDS, cells))
 
     def apply(self, base: SimParams) -> SimParams:
-        return dataclasses.replace(
-            base,
-            mutation_prob=self.mutation_prob,
-            cross_immunity=self.cross_immunity,
-            cross_protection=self.cross_protection,
-            isolate_symptomatic=self.isolate_symptomatic,
-            social_distancing=self.social_distancing,
-        )
+        return dataclasses.replace(base, **{name: getattr(self, name) for name in SCENARIO_FIELDS})
 
     @staticmethod
     def from_params(p: SimParams) -> "Scenario":
         return Scenario(*(getattr(p, name) for name in SCENARIO_FIELDS))
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    """Per-step observables of one replication."""
+SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(Scenario))
 
-    mutation_prob: float
-    cross_immunity: float
-    cross_protection: float
-    isolate_symptomatic: bool
-    social_distancing: float
+
+@dataclass(frozen=True)
+class MetricRow(Scenario):
+    """Per-step observables of one replication, after its scenario fields."""
+
     replication: int
     step: int
     share_infected: float
@@ -129,16 +94,16 @@ class MetricRow:
         return Scenario(*(getattr(self, name) for name in SCENARIO_FIELDS))
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
+METRIC_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("step") + 1 : CSV_COLUMNS.index("extinct")]
+
+
 def metric_row(w, scenario: Scenario, replication: int) -> MetricRow:
     """Observe a world after a step and freeze the row."""
     n = w.params.n_agents
     stats = active_variant_stats(w)
     return MetricRow(
-        mutation_prob=scenario.mutation_prob,
-        cross_immunity=scenario.cross_immunity,
-        cross_protection=scenario.cross_protection,
-        isolate_symptomatic=scenario.isolate_symptomatic,
-        social_distancing=scenario.social_distancing,
+        **vars(scenario),
         replication=replication,
         step=w.step_index,
         share_infected=w.n_infected / n,
@@ -171,6 +136,16 @@ def collect_run(p: SimParams, replication: int = 0) -> list:
     return collect_world_run(init_world(p), replication)
 
 
+# The sweep grid's value list for each scenario field, in field order.
+_GRID_FIELD_OF = {
+    "mutation_prob": "mutation_probs",
+    "cross_immunity": "cross_immunities",
+    "cross_protection": "cross_protections",
+    "isolate_symptomatic": "isolations",
+    "social_distancing": "distancings",
+}
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Base parameters plus per-dimension value lists."""
@@ -186,27 +161,13 @@ class SweepGrid:
     base_seed: int = 42
 
     def scenarios(self) -> list:
-        return [
-            Scenario(*combo)
-            for combo in itertools.product(
-                self.mutation_probs,
-                self.cross_immunities,
-                self.cross_protections,
-                self.isolations,
-                self.distancings,
-            )
-        ]
+        axes = (getattr(self, plural) for plural in _GRID_FIELD_OF.values())
+        return [Scenario(*combo) for combo in itertools.product(*axes)]
 
 
 def validate_grid(g: SweepGrid) -> SweepGrid:
-    lists = {
-        "mutation_prob": g.mutation_probs,
-        "cross_immunity": g.cross_immunities,
-        "cross_protection": g.cross_protections,
-        "isolate_symptomatic": g.isolations,
-        "social_distancing": g.distancings,
-    }
-    for name, values in lists.items():
+    for name, plural in _GRID_FIELD_OF.items():
+        values = getattr(g, plural)
         if len(values) == 0:
             raise DatasetError(f"grid dimension {name} is empty")
         if len(set(values)) < len(values):
@@ -221,15 +182,6 @@ def validate_grid(g: SweepGrid) -> SweepGrid:
     return g
 
 
-_GRID_FIELD_OF = {
-    "mutation_prob": "mutation_probs",
-    "cross_immunity": "cross_immunities",
-    "cross_protection": "cross_protections",
-    "isolate_symptomatic": "isolations",
-    "social_distancing": "distancings",
-}
-
-
 def grid_from_text(text: str, base: SimParams, replications: int = 100) -> SweepGrid:
     """Parse a grid file: the five sweep dimensions as comma-separated lists.
 
@@ -238,8 +190,6 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
     and values listed twice are errors.  ``-0.0`` reads as ``0.0``: the two
     compare equal, so they must key and seed one scenario.
     """
-    from .params import parse_scalar
-
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -264,8 +214,7 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
             raise DatasetError(f"grid line {lineno}: {key!r} lists a value twice")
         values[key] = tuple(0.0 if isinstance(v, float) and v == 0.0 else v for v in parsed)
     fields = {
-        _GRID_FIELD_OF[key]: values.get(key, (getattr(base, key),))
-        for key in _GRID_FIELD_OF
+        plural: values.get(key, (getattr(base, key),)) for key, plural in _GRID_FIELD_OF.items()
     }
     return SweepGrid(
         base=base,
@@ -305,12 +254,14 @@ class SweepDataset:
     rows: tuple
 
     def scenarios(self) -> list:
-        seen = []
-        for row in self.rows:
-            scenario = row.scenario
-            if scenario not in seen:
-                seen.append(scenario)
-        return seen
+        return list(dict.fromkeys(row.scenario for row in self.rows))
+
+
+def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
+    """Return ``grid`` unchanged if it can be swept by ``jobs`` workers."""
+    if jobs < 1:
+        raise DatasetError(f"jobs must be >= 1, got {jobs}")
+    return validate_grid(grid)
 
 
 def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
@@ -320,9 +271,7 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     ``progress`` is called after each finished replication with
     (done, total).
     """
-    if jobs < 1:
-        raise DatasetError(f"jobs must be >= 1, got {jobs}")
-    validate_grid(grid)
+    validate_sweep(grid, jobs)
     scenario_list = grid.scenarios()
     tasks = [
         (grid, ordinal, replication)
@@ -359,56 +308,73 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
-def format_row(row: MetricRow) -> str:
-    return ",".join(_format_value(getattr(row, name)) for name in CSV_COLUMNS)
+def _scenario_cells(scenario: Scenario) -> list:
+    return [_format_value(getattr(scenario, name)) for name in SCENARIO_FIELDS]
+
+
+def _write_table(path, columns, lines) -> None:
+    """Write a header of ``columns``, then one line per sequence of cells."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for cells in lines:
+            fh.write(",".join(cells) + "\n")
 
 
 def write_dataset(ds: SweepDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in ds.rows:
-            fh.write(format_row(row) + "\n")
+    _write_table(
+        path,
+        CSV_COLUMNS,
+        ([_format_value(getattr(row, name)) for name in CSV_COLUMNS] for row in ds.rows),
+    )
 
 
-_BOOL_COLUMNS = {"isolate_symptomatic", "extinct"}
-_INT_COLUMNS = {"replication", "step", "max_antigenic_distance", "active_variant_count"}
+def _parse_bool(text: str) -> bool:
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(text)
 
 
-def _parse_cell(name: str, text: str):
-    if name in _BOOL_COLUMNS:
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise ValueError(text)
-    if name in _INT_COLUMNS:
-        return int(text)
-    return float(text)
+# One cell parser per dataset column, chosen by the MetricRow field's type.
+_PARSERS = tuple(
+    {"bool": _parse_bool, "int": int, "float": float}[f.type]
+    for f in dataclasses.fields(MetricRow)
+)
 
 
-def read_dataset(path) -> SweepDataset:
-    """Parse a dataset CSV, enforcing the exact fixed schema."""
+def _read_table(path, columns, parse) -> list:
+    """``parse(cells)`` of every non-blank line under an exact ``columns`` header."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header.split(",") != list(CSV_COLUMNS):
-            raise DatasetError(f"dataset header mismatch: {header!r}")
-        rows = []
+        if header.split(",") != list(columns):
+            raise DatasetError(f"table header mismatch: {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                raise DatasetError(f"line {lineno}: expected {len(CSV_COLUMNS)} cells")
+            if len(cells) != len(columns):
+                raise DatasetError(f"line {lineno}: expected {len(columns)} cells")
             try:
-                values = {
-                    name: _parse_cell(name, cell)
-                    for name, cell in zip(CSV_COLUMNS, cells)
-                }
+                rows.append(parse(cells))
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: bad cell value {exc}") from exc
-            rows.append(MetricRow(**values))
-    return SweepDataset(rows=tuple(rows))
+    return rows
+
+
+def _parse_metric_row(cells) -> MetricRow:
+    return MetricRow(*(parse(cell) for parse, cell in zip(_PARSERS, cells)))
+
+
+def _parse_scenario(cells) -> Scenario:
+    return Scenario(*(parse(cell) for parse, cell in zip(_PARSERS, cells[: len(SCENARIO_FIELDS)])))
+
+
+def read_dataset(path) -> SweepDataset:
+    """Parse a dataset CSV, enforcing the exact fixed schema."""
+    return SweepDataset(rows=tuple(_read_table(path, CSV_COLUMNS, _parse_metric_row)))
 
 
 # -- aggregation -------------------------------------------------------------
@@ -508,101 +474,73 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
     return out
 
 
-QUANTILE_COLUMNS = SCENARIO_FIELDS + ("step", "quantile", "value")
-BOX_COLUMNS = SCENARIO_FIELDS + (
-    "median",
-    "q1",
-    "q3",
-    "whisker_low",
-    "whisker_high",
-    "notch_low",
-    "notch_high",
-    "outliers",
-)
+def _table_columns(row_type) -> tuple:
+    """The scenario fields, then the fields of ``row_type`` after its scenario."""
+    return SCENARIO_FIELDS + tuple(f.name for f in dataclasses.fields(row_type))[1:]
+
+
+QUANTILE_COLUMNS = _table_columns(QuantileRow)
+BOX_COLUMNS = _table_columns(BoxStats)
+_BOX_STATS = BOX_COLUMNS[len(SCENARIO_FIELDS) : -1]
 
 
 def write_quantiles(rows: Sequence[QuantileRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(QUANTILE_COLUMNS) + "\n")
-        for row in rows:
-            cells = [_format_value(getattr(row.scenario, f)) for f in SCENARIO_FIELDS]
-            cells += [str(row.step), repr(row.quantile), repr(row.value)]
-            fh.write(",".join(cells) + "\n")
+    _write_table(
+        path,
+        QUANTILE_COLUMNS,
+        (
+            _scenario_cells(row.scenario) + [str(row.step), repr(row.quantile), repr(row.value)]
+            for row in rows
+        ),
+    )
 
 
 def write_boxes(rows: Sequence[BoxStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(BOX_COLUMNS) + "\n")
-        for row in rows:
-            cells = [_format_value(getattr(row.scenario, f)) for f in SCENARIO_FIELDS]
-            cells += [
-                repr(row.median),
-                repr(row.q1),
-                repr(row.q3),
-                repr(row.whisker_low),
-                repr(row.whisker_high),
-                repr(row.notch_low),
-                repr(row.notch_high),
-                ";".join(repr(v) for v in row.outliers),
-            ]
-            fh.write(",".join(cells) + "\n")
-
-
-def _read_table(path, columns):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",") != list(columns):
-            raise DatasetError(f"table header mismatch: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise DatasetError(f"line {lineno}: expected {len(columns)} cells")
-            yield lineno, cells
-
-
-def _scenario_from_cells(cells, lineno):
-    try:
-        return Scenario(
-            *(_parse_cell(name, cell) for name, cell in zip(SCENARIO_FIELDS, cells))
-        )
-    except ValueError as exc:
-        raise DatasetError(f"line {lineno}: bad scenario value {exc}") from exc
+    _write_table(
+        path,
+        BOX_COLUMNS,
+        (
+            _scenario_cells(row.scenario)
+            + [repr(getattr(row, name)) for name in _BOX_STATS]
+            + [";".join(repr(v) for v in row.outliers)]
+            for row in rows
+        ),
+    )
 
 
 def read_quantiles(path) -> list:
-    rows = []
-    for lineno, cells in _read_table(path, QUANTILE_COLUMNS):
-        scenario = _scenario_from_cells(cells[:5], lineno)
-        try:
-            rows.append(QuantileRow(scenario, int(cells[5]), float(cells[6]), float(cells[7])))
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: bad cell value {exc}") from exc
-    return rows
+    n = len(SCENARIO_FIELDS)
+    return _read_table(
+        path,
+        QUANTILE_COLUMNS,
+        lambda cells: QuantileRow(
+            _parse_scenario(cells), int(cells[n]), float(cells[n + 1]), float(cells[n + 2])
+        ),
+    )
 
 
 def read_boxes(path) -> list:
-    rows = []
-    for lineno, cells in _read_table(path, BOX_COLUMNS):
-        scenario = _scenario_from_cells(cells[:5], lineno)
-        try:
-            stats = [float(c) for c in cells[5:12]]
-            outliers = tuple(float(c) for c in cells[12].split(";") if c)
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: bad cell value {exc}") from exc
-        rows.append(BoxStats(scenario, *stats, outliers=outliers))
-    return rows
+    n = len(SCENARIO_FIELDS)
+    return _read_table(
+        path,
+        BOX_COLUMNS,
+        lambda cells: BoxStats(
+            _parse_scenario(cells),
+            *(float(cell) for cell in cells[n:-1]),
+            outliers=tuple(float(cell) for cell in cells[-1].split(";") if cell),
+        ),
+    )
 
 
 def write_manifest(grid: SweepGrid, path) -> None:
     """One line per scenario and replication with its derived seed."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SCENARIO_FIELDS + ("replication", "seed")) + "\n")
-        for scenario in grid.scenarios():
-            for replication in range(grid.replications):
-                seed = replication_seed(grid.base_seed, scenario, replication)
-                cells = [_format_value(getattr(scenario, f)) for f in SCENARIO_FIELDS]
-                cells += [str(replication), str(seed)]
-                fh.write(",".join(cells) + "\n")
+    _write_table(
+        path,
+        SCENARIO_FIELDS + ("replication", "seed"),
+        (
+            _scenario_cells(scenario)
+            + [str(replication), str(replication_seed(grid.base_seed, scenario, replication))]
+            for scenario in grid.scenarios()
+            for replication in range(grid.replications)
+        ),
+    )

@@ -8,6 +8,7 @@ reproduction number of 2.5 and a 50% pre-symptomatic transmission share.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -69,6 +70,10 @@ def validate_params(p: SimParams) -> SimParams:
     Raises:
         ConfigError: naming the first violated field.
     """
+    for name in PARAM_NAMES:
+        value = getattr(p, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if p.n_agents < 1:
         raise ConfigError("n_agents must be >= 1 (zero agents)")
     if p.n_initial_infected < 0:
@@ -97,7 +102,8 @@ def validate_params(p: SimParams) -> SimParams:
     return p
 
 
-def _parse_value(name: str, raw: str):
+def parse_scalar(name: str, raw: str):
+    """Parse one value with the type of the named parameter field."""
     raw = raw.strip()
     try:
         if name in _BOOL_FIELDS:
@@ -112,11 +118,6 @@ def _parse_value(name: str, raw: str):
         return float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value for {name}: {raw!r}") from None
-
-
-def parse_scalar(name: str, raw: str):
-    """Parse one value with the type of the named parameter field."""
-    return _parse_value(name, raw)
 
 
 def parse_config_text(text: str) -> dict:
@@ -137,7 +138,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_scalar(key, raw)
     return values
 
 

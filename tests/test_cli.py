@@ -181,6 +181,16 @@ def test_sweep_rejects_jobs_below_one(config, grid_file, tmp_path, monkeypatch, 
     assert main(argv) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x" / "dataset.csv").exists()
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_rejected_grid_leaves_no_output_dir(config, tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("social_distancing = 0.0, 1.5\n")
+    assert main(["sweep", config, "--grid", str(grid), "--reps", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "social_distancing out of [0,1]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_rejects_bad_grid(config, tmp_path, capsys):
@@ -306,6 +316,24 @@ def test_plot_empty_table(tmp_path, capsys):
     assert main(["plot", str(empty), "--kind", "lines",
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert "no data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze", "plot"])
+def test_undecodable_input_is_a_usage_error(config, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "n_agents = 10\n".encode("utf-16-le"))
+    out = str(tmp_path / "out")
+    argv = {
+        "run": ["run", str(bad), "--out", out],
+        "sweep": ["sweep", config, "--grid", str(bad), "--reps", "1", "--out", out],
+        "analyze": ["analyze", str(bad), "--metric", "mortality", "--out", out],
+        "plot": ["plot", str(bad), "--kind", "lines", "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sepaird {command}: ") and err.count("\n") == 1
+    assert "can't decode" in err
+    assert not os.path.exists(out)
 
 
 def test_plot_requires_kind(quantile_table, tmp_path):

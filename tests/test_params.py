@@ -40,6 +40,12 @@ def test_defaults_are_valid():
         ("latent_end0", -3.0),
         ("duration0", 0.0),
         ("horizon", 0),
+        ("mutation_sd", float("nan")),
+        ("mutation_sd", float("inf")),
+        ("course_sd_frac", float("nan")),
+        ("mutation_mean", float("nan")),
+        ("mutation_mean", float("-inf")),
+        ("duration0", float("inf")),
     ],
 )
 def test_invalid_field_rejected(field, value):
