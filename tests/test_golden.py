@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from sepaird import SimParams, SweepGrid, init_world, quantile_series, run, sweep
+from sepaird.cli import main
 from sepaird.montecarlo import write_dataset, write_manifest
+from sepaird.params import params_to_config
 from sepaird.svg import render_quantile_lines
 
 WORLD_DIGESTS = {
@@ -33,6 +35,7 @@ WORLD_DIGESTS = {
 DATASET_DIGEST = "ef307d93e16975c7613f4c961f1bcf5505f2f3e37de4404418306c22e012bfc8"
 MANIFEST_DIGEST = "f1520670ef020fa6b0ef30005cb149e57bc6a0aff40ae94713c4210b9b186ed1"
 SVG_DIGEST = "7225ab0091639d0e54fabdfc0a55ed75887573454c71136ae36077034227302d"
+EVENTS_DIGEST = "4d2227ce4c18b631524ecfb671f78586c8e42bfd6e65785950c277f47fcaa35d"
 
 
 def _sha256(data: bytes) -> str:
@@ -49,6 +52,15 @@ def test_world_state_bytes_are_pinned(name):
     p = SimParams(n_agents=2000, horizon=200, seed=7, **overrides)
     w = run(init_world(p))
     assert _sha256(w.state_bytes()) == digest, _pin_message(f"state of {name} run")
+
+
+def test_event_log_is_pinned(tmp_path):
+    config = tmp_path / "p.cfg"
+    config.write_text(params_to_config(SimParams(n_agents=2000, horizon=200, seed=7)))
+    events = tmp_path / "events.csv"
+    out = tmp_path / "run.csv"
+    assert main(["run", str(config), "--out", str(out), "--events", str(events)]) == 0
+    assert _sha256(events.read_bytes()) == EVENTS_DIGEST, _pin_message("event log of default run")
 
 
 @pytest.fixture(scope="module")
