@@ -14,7 +14,7 @@ Library layers:
 - ``cli``: the ``sepaird`` command.
 """
 
-from .abm import Agent, CourseThresholds, World, draw_course, init_world, run
+from .abm import World, draw_course, init_world, run
 from .montecarlo import (
     BoxStats,
     DatasetError,
@@ -77,12 +77,10 @@ from .variants import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Agent",
     "ActiveVariantSummary",
     "BoxStats",
     "ClusterRecord",
     "ConfigError",
-    "CourseThresholds",
     "DatasetError",
     "MetricRow",
     "OdeError",

@@ -6,17 +6,15 @@ meet random living agents, infections may mutate and drift) followed by
 a progression phase (counters advance, symptoms appear, courses resolve
 into death or recovery with recursive cross-immunity).
 
-Agent state is stored column-wise; ``Agent`` is a read-only snapshot
-assembled on demand.  A ``World`` is confined to a single execution
-context for its whole run; parallelism lives one level up, across
-independent replications.
+Agent state is stored column-wise, one numpy array per fact; a course's
+three day marks are drawn as one int64 array.  A ``World`` is confined
+to a single execution context for its whole run; parallelism lives one
+level up, across independent replications.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .variants import (
     LATENT_END,
     SYMPTOMATIC_CHANCE,
     Registry,
+    grown,
     spawn_variant,
     wild_type_props,
 )
@@ -37,63 +36,25 @@ _NO_INFECTION = -1
 _UNDETERMINED = -1
 
 
-@dataclass(frozen=True)
-class CourseThresholds:
-    """Integer day marks of one individual disease course.
-
-    ``latent_end`` opens the infectious window, ``symptom_day`` may turn
-    the course symptomatic, ``end_day`` resolves it.  Draws are truncated
-    at 0, so any ordering between the three can occur.
-    """
-
-    latent_end: int
-    symptom_day: int
-    end_day: int
-
-
-@dataclass(frozen=True)
-class Infection:
-    variant: int
-    counter: int
-    course: CourseThresholds
-    symptomatic: Optional[bool]
-    isolated: bool
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Read-only snapshot of one agent."""
-
-    id: int
-    alive: bool
-    infection: Optional[Infection]
-    immune_clusters: frozenset
-
-    @property
-    def status(self) -> str:
-        """Susceptible, Infected, or Recovered (meaningful while alive)."""
-        if self.infection is not None:
-            return "Infected"
-        return "Recovered" if self.immune_clusters else "Susceptible"
-
-
 def _round_half_up(x: np.ndarray) -> np.ndarray:
     # nearest integer, halves away from zero; inputs are already >= 0
     return np.floor(x + 0.5)
 
 
-def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> CourseThresholds:
-    """Draw individual day marks around a variant's course means.
+def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> np.ndarray:
+    """Draw the int64 day marks (latent end, symptom day, end day) of one course.
 
     ``props`` is the variant's property row; its latent end, incubation
     end and duration columns are the means.  Each mark is Gaussian with
     standard deviation ``mean * sigma_ii``, truncated below at 0 and
-    rounded to the nearest integer (half away from zero).
+    rounded to the nearest integer (half away from zero), so any ordering
+    between the three can occur.  The latent end opens the infectious
+    window, the symptom day may turn the course symptomatic, the end day
+    resolves it.
     """
     means = props[LATENT_END : DURATION + 1]
     raw = rng.normal(means, means * sigma_ii)
-    l, b, d = _round_half_up(np.maximum(raw, 0.0)).astype(np.int64)
-    return CourseThresholds(latent_end=int(l), symptom_day=int(b), end_day=int(d))
+    return _round_half_up(np.maximum(raw, 0.0)).astype(np.int64)
 
 
 class World:
@@ -131,11 +92,6 @@ class World:
     # -- derived views ------------------------------------------------
 
     @property
-    def infected_index(self) -> np.ndarray:
-        """Ids of agents with an active infection, ascending."""
-        return np.where(self.variant_of >= 0)[0]
-
-    @property
     def n_infected(self) -> int:
         return int(self.active_count[: self.registry.n_variants].sum())
 
@@ -152,49 +108,6 @@ class World:
         counts = self.active_count[: self.registry.n_variants]
         return np.where(counts > 0)[0]
 
-    def agent(self, agent_id: int) -> Agent:
-        if not 0 <= agent_id < self.params.n_agents:
-            raise KeyError(f"unknown agent id {agent_id}")
-        infection = None
-        if self.variant_of[agent_id] >= 0:
-            flag = self.symptomatic[agent_id]
-            infection = Infection(
-                variant=int(self.variant_of[agent_id]),
-                counter=int(self.counter[agent_id]),
-                course=CourseThresholds(
-                    latent_end=int(self.latent_end[agent_id]),
-                    symptom_day=int(self.symptom_day[agent_id]),
-                    end_day=int(self.end_day[agent_id]),
-                ),
-                symptomatic=None if flag == _UNDETERMINED else bool(flag),
-                isolated=bool(self.isolated[agent_id]),
-            )
-        row = self.immune[agent_id, : self.registry.n_clusters]
-        return Agent(
-            id=agent_id,
-            alive=bool(self.alive[agent_id]),
-            infection=infection,
-            immune_clusters=frozenset(int(c) for c in np.where(row)[0]),
-        )
-
-    # -- capacity management -------------------------------------------
-
-    def _ensure_cluster_columns(self):
-        need = self.registry.n_clusters
-        if need <= self.immune.shape[1]:
-            return
-        grown = np.zeros((self.params.n_agents, 2 * self.immune.shape[1]), dtype=bool)
-        grown[:, : self.immune.shape[1]] = self.immune
-        self.immune = grown
-
-    def _ensure_variant_slots(self):
-        need = self.registry.n_variants
-        if need <= self.active_count.size:
-            return
-        grown = np.zeros(2 * self.active_count.size, dtype=np.int64)
-        grown[: self.active_count.size] = self.active_count
-        self.active_count = grown
-
     def _log(self, event: str, agent: int, variant: int, cluster: int):
         if self.events is not None:
             self.events.append((self.step_index, event, agent, variant, cluster))
@@ -203,12 +116,10 @@ class World:
 
     def _infect(self, agent: int, variant: int):
         props = self.registry.props_matrix[variant]
-        course = draw_course(props, self.params.course_sd_frac, self.rng)
+        marks = draw_course(props, self.params.course_sd_frac, self.rng)
         self.variant_of[agent] = variant
         self.counter[agent] = 0
-        self.latent_end[agent] = course.latent_end
-        self.symptom_day[agent] = course.symptom_day
-        self.end_day[agent] = course.end_day
+        self.latent_end[agent], self.symptom_day[agent], self.end_day[agent] = marks.tolist()
         self.symptomatic[agent] = _UNDETERMINED
         self.isolated[agent] = False
         self.ever_infected[agent] = True
@@ -241,16 +152,16 @@ class World:
                 p.mutation_sd,
                 self.rng,
             )
-            self._ensure_variant_slots()
+            self.active_count = grown(self.active_count, self.registry.n_variants)
             cluster = int(self.registry.variant_cluster[variant])
             self._log("mutation", target, variant, cluster)
             if drift:
-                self._ensure_cluster_columns()
+                self.immune = grown(self.immune, self.registry.n_clusters, axis=1)
                 new_cluster = cluster
                 self._log("drift", target, variant, cluster)
         self._infect(target, variant)
         if new_cluster >= 0:
-            parent_cluster = self.registry.cluster_parent(new_cluster)
+            parent_cluster = self.registry.cluster_parents[new_cluster]
             holders = np.where(self.immune[:, parent_cluster])[0]
             if holders.size:
                 rolls = self.rng.uniform(size=holders.size)
@@ -400,11 +311,7 @@ class World:
             reg.variant_cluster.tobytes(),
             reg.variant_depth.tobytes(),
             np.array(sorted(self.last_active_variants), dtype=np.int64).tobytes(),
-            # root encodes as -1: None is not castable to int64
-            np.array(
-                [p if (p := reg.cluster_parent(c)) is not None else -1 for c in range(n_cl)],
-                dtype=np.int64,
-            ).tobytes(),
+            reg.cluster_parents.tobytes(),
         ]
         return b"".join(parts)
 

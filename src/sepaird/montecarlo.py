@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import Sequence
@@ -187,8 +188,8 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
 
     Omitted dimensions collapse to the base parameter value.  Lines use
     ``key = v1, v2, ...`` with ``#`` comments; unknown or duplicate keys
-    and values listed twice are errors.  ``-0.0`` reads as ``0.0``: the two
-    compare equal, so they must key and seed one scenario.
+    and values listed twice are errors.  Values parse as config values
+    do, so ``-0.0`` reads as ``0.0``.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -212,7 +213,7 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
             raise DatasetError(f"grid line {lineno}: bad value ({exc})") from exc
         if len(set(parsed)) < len(parsed):
             raise DatasetError(f"grid line {lineno}: {key!r} lists a value twice")
-        values[key] = tuple(0.0 if isinstance(v, float) and v == 0.0 else v for v in parsed)
+        values[key] = parsed
     fields = {
         plural: values.get(key, (getattr(base, key),)) for key, plural in _GRID_FIELD_OF.items()
     }
@@ -368,8 +369,22 @@ def _parse_metric_row(cells) -> MetricRow:
     return MetricRow(*(parse(cell) for parse, cell in zip(_PARSERS, cells)))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {text!r}")
+    return value
+
+
+# Aggregation tables hold only finite numbers: their scenario floats come
+# from validated parameters and their statistics from finite groups.
+_SCENARIO_PARSERS = tuple(
+    _finite if parse is float else parse for parse in _PARSERS[: len(SCENARIO_FIELDS)]
+)
+
+
 def _parse_scenario(cells) -> Scenario:
-    return Scenario(*(parse(cell) for parse, cell in zip(_PARSERS, cells[: len(SCENARIO_FIELDS)])))
+    return Scenario(*(parse(cell) for parse, cell in zip(_SCENARIO_PARSERS, cells)))
 
 
 def read_dataset(path) -> SweepDataset:
@@ -411,6 +426,14 @@ def _metric_groups(ds: SweepDataset, metric: str):
     return groups
 
 
+def _group_values(per_step: dict, step: int, metric: str) -> np.ndarray:
+    """One aggregation group's values; a nan or inf would corrupt its statistics."""
+    values = np.asarray(per_step[step])
+    if not np.isfinite(values).all():
+        raise DatasetError(f"non-finite {metric} value at step {step}")
+    return values
+
+
 def quantile_series(
     ds: SweepDataset, metric: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
 ) -> list:
@@ -428,7 +451,7 @@ def quantile_series(
     for scenario in sorted(groups):
         per_step = groups[scenario]
         for step in sorted(per_step):
-            values = np.asarray(per_step[step])
+            values = _group_values(per_step, step, metric)
             levels = np.quantile(values, np.asarray(quantiles), method="linear")
             for q, value in zip(quantiles, levels):
                 out.append(QuantileRow(scenario, step, float(q), float(value)))
@@ -448,7 +471,7 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
         per_step = groups[scenario]
         if step not in per_step:
             raise DatasetError(f"no data at step {step}")
-        values = np.asarray(per_step[step])
+        values = _group_values(per_step, step, metric)
         q1, median, q3 = (float(v) for v in np.quantile(values, [0.25, 0.5, 0.75]))
         iqr = q3 - q1
         low_fence = q1 - 1.5 * iqr
@@ -514,7 +537,7 @@ def read_quantiles(path) -> list:
         path,
         QUANTILE_COLUMNS,
         lambda cells: QuantileRow(
-            _parse_scenario(cells), int(cells[n]), float(cells[n + 1]), float(cells[n + 2])
+            _parse_scenario(cells), int(cells[n]), _finite(cells[n + 1]), _finite(cells[n + 2])
         ),
     )
 
@@ -526,8 +549,8 @@ def read_boxes(path) -> list:
         BOX_COLUMNS,
         lambda cells: BoxStats(
             _parse_scenario(cells),
-            *(float(cell) for cell in cells[n:-1]),
-            outliers=tuple(float(cell) for cell in cells[-1].split(";") if cell),
+            *(_finite(cell) for cell in cells[n:-1]),
+            outliers=tuple(_finite(cell) for cell in cells[-1].split(";") if cell),
         ),
     )
 

@@ -12,6 +12,7 @@ force of infection and the effective reproduction number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +158,10 @@ def integrate(s0: OdeState, p: OdeParams, horizon: float, dt: float = 0.05) -> T
     Total mass is checked to 1e-9 relative at every step; float-noise
     negatives above -1e-12 are clipped to zero and counted.
     """
-    if dt <= 0.0:
-        raise OdeError("dt must be > 0")
-    if horizon < dt:
-        raise OdeError("horizon must be >= dt")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise OdeError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(horizon) and horizon >= dt):
+        raise OdeError(f"horizon must be finite and >= dt, got {horizon}")
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, 7))

@@ -103,7 +103,11 @@ def validate_params(p: SimParams) -> SimParams:
 
 
 def parse_scalar(name: str, raw: str):
-    """Parse one value with the type of the named parameter field."""
+    """Parse one value with the type of the named parameter field.
+
+    ``-0.0`` reads as ``0.0``: the two compare equal, so they must key and
+    seed one scenario.
+    """
     raw = raw.strip()
     try:
         if name in _BOOL_FIELDS:
@@ -115,7 +119,8 @@ def parse_scalar(name: str, raw: str):
             raise ValueError(raw)
         if name in _INT_FIELDS:
             return int(raw)
-        return float(raw)
+        value = float(raw)
+        return 0.0 if value == 0.0 else value
     except ValueError:
         raise ConfigError(f"cannot parse value for {name}: {raw!r}") from None
 

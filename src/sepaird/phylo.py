@@ -18,6 +18,7 @@ from .variants import (
     LATENT_END,
     SYMPTOMATIC_CHANCE,
     Registry,
+    known_id,
 )
 
 
@@ -64,7 +65,7 @@ def _r0_arrays(props: np.ndarray, eta: int):
 
 def phylogenetic_distance(registry: Registry, variant: int) -> int:
     """Mutation count separating a variant from the wild type."""
-    return registry.variant(variant).depth
+    return int(registry.variant_depth[known_id(variant, registry.n_variants, "variant")])
 
 
 def antigenic_distance(registry: Registry, a: int, b: int) -> int:
@@ -73,20 +74,22 @@ def antigenic_distance(registry: Registry, a: int, b: int) -> int:
     Walks the deeper node up to the depth of the shallower, then both up
     in lockstep to the lowest common ancestor.
     """
-    da = registry.cluster(a).depth
-    db = registry.cluster(b).depth
+    parents = registry.cluster_parents
+    depths = registry.cluster_depths
+    da = depths[known_id(a, registry.n_clusters, "cluster")]
+    db = depths[known_id(b, registry.n_clusters, "cluster")]
     dist = 0
     while da > db:
-        a = registry.cluster_parent(a)
+        a = parents[a]
         da -= 1
         dist += 1
     while db > da:
-        b = registry.cluster_parent(b)
+        b = parents[b]
         db -= 1
         dist += 1
     while a != b:
-        a = registry.cluster_parent(a)
-        b = registry.cluster_parent(b)
+        a = parents[a]
+        b = parents[b]
         dist += 2
     return dist
 
@@ -114,7 +117,7 @@ def variant_stats(registry: Registry, variant: int, eta: int) -> VariantStats:
         r0_adapted=adapted,
         adapted_ratio=adapted / r0 if r0 > 0.0 else 1.0,
         phylo_depth=rec.depth,
-        cluster_depth=registry.cluster(rec.cluster).depth,
+        cluster_depth=int(registry.cluster_depths[rec.cluster]),
     )
 
 
@@ -150,7 +153,7 @@ def summarize_variants(
         mean_r0=float(r0.mean()),
         mean_adapted_ratio=float(ratio.mean()),
         mean_phylo_depth=float(registry.variant_depth[ids].mean()),
-        max_antigenic_distance=int(registry.max_cluster_depth()),
+        max_antigenic_distance=registry.max_cluster_depth(),
         mean_infectiousness=float(means[INFECTIOUSNESS]),
         mean_latent_end=float(means[LATENT_END]),
         mean_incubation_end=float(means[INCUBATION_END]),

@@ -137,7 +137,7 @@ def _frame(parts, canvas, title, x_label, y_label, x_tick_pairs, y_values):
     )
 
 
-def _legend(parts, scenarios, labels):
+def _legend(parts, labels):
     x0 = _WIDTH - _MARGIN_RIGHT + 18
     for i, label in enumerate(labels):
         y0 = _MARGIN_TOP + 10 + i * 18
@@ -150,7 +150,6 @@ def _legend(parts, scenarios, labels):
             f'<text x="{_fmt(x0 + 18)}" y="{_fmt(y0 + 1)}" font-size="11">'
             f"{_escape(label)}</text>"
         )
-    _ = scenarios
 
 
 def _document(parts_body) -> str:
@@ -194,7 +193,7 @@ def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
         else:
             style = f'stroke="{color}" stroke-width="1" fill="none" stroke-dasharray="4 3" opacity="0.7"'
         parts.append(f'<polyline points="{coords}" {style}/>')
-    _legend(parts, scenarios, _scenario_labels(scenarios))
+    _legend(parts, _scenario_labels(scenarios))
     return _document(parts)
 
 
@@ -263,5 +262,5 @@ def render_notched_boxes(rows: Sequence[BoxStats], metric: str, step=None) -> st
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(canvas.y(value))}" r="2.5" '
                 f'fill="none" stroke="{color}" stroke-width="1"/>'
             )
-    _legend(parts, scenarios, [f"S{i + 1}: {label}" for i, label in enumerate(labels)])
+    _legend(parts, [f"S{i + 1}: {label}" for i, label in enumerate(labels)])
     return _document(parts)

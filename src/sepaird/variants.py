@@ -66,6 +66,29 @@ class ClusterRecord:
     children: tuple
 
 
+def known_id(ident: int, count: int, kind: str) -> int:
+    """``ident`` if it is one of the dense ids ``0 .. count-1``, else KeyError."""
+    if not 0 <= ident < count:
+        raise KeyError(f"unknown {kind} id {ident}")
+    return ident
+
+
+def grown(array: np.ndarray, need: int, axis: int = 0) -> np.ndarray:
+    """``array`` if it holds ``need`` entries along ``axis``, else a copy
+    zero-padded along ``axis`` to the first doubling of its size that does.
+    """
+    size = array.shape[axis]
+    if need <= size:
+        return array
+    while size < need:
+        size *= 2
+    shape = list(array.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=array.dtype)
+    out[tuple(map(slice, array.shape))] = array
+    return out
+
+
 def mutate_props(
     parent: np.ndarray, theta: float, sigma_i: float, rng: RngStream
 ) -> np.ndarray:
@@ -82,8 +105,11 @@ class Registry:
     """Append-only registries of variants and antigenic clusters.
 
     Variant and cluster identifiers are dense integers in creation order;
-    id 0 is the wild type / root cluster.  Property vectors live in a
-    growable float matrix so the simulation hot path can index them in bulk.
+    id 0 is the wild type / root cluster.  Every per-variant and
+    per-cluster fact is a column indexed by id (property rows in a float
+    matrix, tree links and depths in int64 vectors), grown by ``grown``,
+    so the simulation hot path can index them in bulk.  The records
+    returned by ``variant`` and ``cluster`` are assembled on demand.
     """
 
     def __init__(self, wild_props: np.ndarray):
@@ -95,9 +121,9 @@ class Registry:
         self._born = np.zeros(cap, dtype=np.int64)
         self.n_variants = 0
 
-        self._cl_parent = [None]
-        self._cl_depth = [0]
-        self._cl_children: list[list[int]] = [[]]
+        self._cl_parent = np.full(cap, -1, dtype=np.int64)
+        self._cl_depth = np.zeros(cap, dtype=np.int64)
+        self._cl_neighbors: list[tuple] = [()]
         self.n_clusters = 1
 
         self._append_variant(wild_props, parent=-1, cluster=0, depth=0, step=0)
@@ -105,15 +131,12 @@ class Registry:
     # -- variants ---------------------------------------------------------
 
     def _append_variant(self, vec, parent, cluster, depth, step) -> int:
-        if self.n_variants == self._props.shape[0]:
-            grow = self.n_variants * 2
-            for name in ("_props", "_parent", "_cluster", "_depth", "_born"):
-                old = getattr(self, name)
-                shape = (grow,) + old.shape[1:]
-                new = np.zeros(shape, dtype=old.dtype)
-                new[: self.n_variants] = old
-                setattr(self, name, new)
         vid = self.n_variants
+        self._props = grown(self._props, vid + 1)
+        self._parent = grown(self._parent, vid + 1)
+        self._cluster = grown(self._cluster, vid + 1)
+        self._depth = grown(self._depth, vid + 1)
+        self._born = grown(self._born, vid + 1)
         self._props[vid] = vec
         self._parent[vid] = parent
         self._cluster[vid] = cluster
@@ -123,8 +146,7 @@ class Registry:
         return vid
 
     def variant(self, vid: int) -> VariantRecord:
-        if not 0 <= vid < self.n_variants:
-            raise KeyError(f"unknown variant id {vid}")
+        known_id(vid, self.n_variants, "variant")
         parent = int(self._parent[vid])
         return VariantRecord(
             id=vid,
@@ -151,36 +173,42 @@ class Registry:
 
     def add_cluster(self, parent: int) -> int:
         cid = self.n_clusters
-        self._cl_parent.append(parent)
-        self._cl_depth.append(self._cl_depth[parent] + 1)
-        self._cl_children.append([])
-        self._cl_children[parent].append(cid)
+        self._cl_parent = grown(self._cl_parent, cid + 1)
+        self._cl_depth = grown(self._cl_depth, cid + 1)
+        self._cl_parent[cid] = parent
+        self._cl_depth[cid] = self._cl_depth[parent] + 1
+        self._cl_neighbors.append((parent,))
+        self._cl_neighbors[parent] += (cid,)
         self.n_clusters += 1
         return cid
 
     def cluster(self, cid: int) -> ClusterRecord:
-        if not 0 <= cid < self.n_clusters:
-            raise KeyError(f"unknown cluster id {cid}")
+        known_id(cid, self.n_clusters, "cluster")
+        parent = int(self._cl_parent[cid])
+        neighbors = self._cl_neighbors[cid]
         return ClusterRecord(
             id=cid,
-            parent=self._cl_parent[cid],
-            depth=self._cl_depth[cid],
-            children=tuple(self._cl_children[cid]),
+            parent=None if parent < 0 else parent,
+            depth=int(self._cl_depth[cid]),
+            children=neighbors if parent < 0 else neighbors[1:],
         )
 
-    def cluster_parent(self, cid: int) -> int | None:
-        return self._cl_parent[cid]
+    @property
+    def cluster_parents(self) -> np.ndarray:
+        """Parent of every cluster; the root's is -1."""
+        return self._cl_parent[: self.n_clusters]
 
-    def cluster_neighbors(self, cid: int):
+    @property
+    def cluster_depths(self) -> np.ndarray:
+        return self._cl_depth[: self.n_clusters]
+
+    def cluster_neighbors(self, cid: int) -> tuple:
         """Tree neighbors of a cluster: parent first, then children in order."""
-        parent = self._cl_parent[cid]
-        if parent is not None:
-            yield parent
-        yield from self._cl_children[cid]
+        return self._cl_neighbors[cid]
 
     def max_cluster_depth(self) -> int:
         """Deepest antigenic cluster ever created (never decreases)."""
-        return max(self._cl_depth)
+        return int(self.cluster_depths.max())
 
     @property
     def n_mutations(self) -> int:

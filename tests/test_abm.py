@@ -26,25 +26,26 @@ class PresetNormals:
 
 
 def test_draw_course_zero_sd_hits_means():
-    course = abm.draw_course(WILD, 0.0, RngStream(1))
-    assert (course.latent_end, course.symptom_day, course.end_day) == (4, 6, 8)
+    marks = abm.draw_course(WILD, 0.0, RngStream(1))
+    assert marks.dtype == np.int64
+    assert marks.tolist() == [4, 6, 8]
 
 
 def test_draw_course_truncates_and_rounds():
-    course = abm.draw_course(WILD, 0.1, PresetNormals([-1.0, 5.4, 8.5]))
-    assert (course.latent_end, course.symptom_day, course.end_day) == (0, 5, 9)
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([-1.0, 5.4, 8.5]))
+    assert marks.tolist() == [0, 5, 9]
 
 
 def test_draw_course_rounds_halves_away_from_zero():
     # banker's rounding would give (2, 6, 8) here
-    course = abm.draw_course(WILD, 0.1, PresetNormals([2.5, 6.5, 8.5]))
-    assert (course.latent_end, course.symptom_day, course.end_day) == (3, 7, 9)
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([2.5, 6.5, 8.5]))
+    assert marks.tolist() == [3, 7, 9]
 
 
 def test_draw_course_keeps_degenerate_order():
     # symptom day before the latent end stays as drawn; no reordering
-    course = abm.draw_course(WILD, 0.1, PresetNormals([5.0, 2.0, 4.0]))
-    assert (course.latent_end, course.symptom_day, course.end_day) == (5, 2, 4)
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([5.0, 2.0, 4.0]))
+    assert marks.tolist() == [5, 2, 4]
 
 
 # -- world construction ----------------------------------------------
@@ -57,8 +58,11 @@ def test_initial_world_state(tiny_params):
     assert w.n_infected == 5
     assert w.cum_infections == 5
     assert w.cum_deaths == 0
-    assert list(w.infected_index) == [0, 1, 2, 3, 4]
+    assert np.flatnonzero(w.variant_of >= 0).tolist() == [0, 1, 2, 3, 4]
     assert np.all(w.variant_of[:5] == 0)
+    assert np.all(w.counter[:5] == 0)
+    assert np.all(w.symptomatic[:5] == abm._UNDETERMINED)
+    assert w.alive.all() and not w.immune.any()
     assert w.registry.n_variants == 1
     assert w.last_active_variants == (0,)
     assert w.active_variants().tolist() == [0]
@@ -73,22 +77,6 @@ def test_world_without_seed_infections(tiny_params):
     w = init_world(tiny_params(n_initial_infected=0))
     assert w.n_infected == 0
     assert w.last_active_variants == (0,)  # wild type stands in for stats
-
-
-def test_agent_snapshot(tiny_params):
-    w = init_world(tiny_params())
-    a = w.agent(0)
-    assert a.id == 0 and a.alive and a.infection is not None
-    assert a.infection.variant == 0
-    assert a.infection.counter == 0
-    assert a.infection.symptomatic is None
-    assert a.status == "Infected"
-    s = w.agent(199)
-    assert s.infection is None and s.status == "Susceptible"
-    with pytest.raises(KeyError):
-        w.agent(200)
-    with pytest.raises(KeyError):
-        w.agent(-1)
 
 
 def test_run_respects_horizon_and_callback(tiny_params):
@@ -245,7 +233,7 @@ def test_no_reinfection_within_cluster():
 def test_immediate_resolution_course(tiny_params, monkeypatch):
     # a zero-length course resolves on the next progression without transmitting
     monkeypatch.setattr(
-        abm, "draw_course", lambda v, s, rng: abm.CourseThresholds(0, 0, 0)
+        abm, "draw_course", lambda v, s, rng: np.zeros(3, dtype=np.int64)
     )
     w = init_world(tiny_params(n_initial_infected=8))
     w.step()

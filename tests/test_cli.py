@@ -5,7 +5,7 @@ import pytest
 
 from sepaird import SimParams
 from sepaird.cli import main
-from sepaird.montecarlo import CSV_COLUMNS, read_dataset
+from sepaird.montecarlo import BOX_COLUMNS, CSV_COLUMNS, QUANTILE_COLUMNS, read_dataset
 from sepaird.params import params_to_config
 
 FAST = SimParams(n_agents=300, n_initial_infected=5, mutation_prob=0.05,
@@ -133,6 +133,17 @@ def test_ode_rejects_degenerate_phases(tmp_path, capsys):
     assert "course ordering" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--horizon", "nan"),
+                                        ("--horizon", "inf")])
+def test_ode_rejects_non_finite_arguments(config, tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    assert main(["ode", config, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sepaird ode: ") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not out.exists()
+
+
 # -- sweep ---------------------------------------------------------------
 
 
@@ -191,6 +202,23 @@ def test_sweep_rejected_grid_leaves_no_output_dir(config, tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 2
     assert "social_distancing out of [0,1]" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_sweep_reads_negative_zero_config_as_zero(tmp_path):
+    # -0.0 == 0.0, so the base config must key and seed the same scenario
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("mutation_prob = 0.05\n")
+    base = params_to_config(FAST)
+    assert "social_distancing = 0.0\n" in base
+    manifests = []
+    for text in ("-0.0", "0.0"):
+        cfg = tmp_path / f"p{text}.cfg"
+        cfg.write_text(base.replace("social_distancing = 0.0\n", f"social_distancing = {text}\n"))
+        out = tmp_path / f"out{text}"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--reps", "2",
+                     "--out", str(out)]) == 0
+        manifests.append((out / "manifest.csv").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_sweep_rejects_bad_grid(config, tmp_path, capsys):
@@ -266,6 +294,27 @@ def test_analyze_corrupt_dataset(tmp_path, capsys):
     assert "header mismatch" in capsys.readouterr().err
 
 
+def _with_last_cell(path, columns, column, text, out):
+    """Copy the table at ``path`` to ``out`` with one cell of its last row replaced."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[-1].split(",")
+    cells[columns.index(column)] = text
+    lines[-1] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("extra", [[], ["--box-at", str(FAST.horizon)]])
+def test_analyze_rejects_non_finite_metric(dataset_file, tmp_path, capsys, value, extra):
+    bad = _with_last_cell(dataset_file, CSV_COLUMNS, "mortality", value, tmp_path / "bad.csv")
+    out = tmp_path / "x.csv"
+    assert main(["analyze", bad, "--metric", "mortality", *extra, "--out", str(out)]) == 2
+    assert "non-finite mortality value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- plot --------------------------------------------------------------------
 
 
@@ -316,6 +365,20 @@ def test_plot_empty_table(tmp_path, capsys):
     assert main(["plot", str(empty), "--kind", "lines",
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert "no data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("kind,column", [("lines", "value"), ("boxes", "median"),
+                                         ("boxes", "outliers")])
+def test_plot_rejects_non_finite_cell(quantile_table, box_table, tmp_path, capsys,
+                                      value, kind, column):
+    table = quantile_table if kind == "lines" else box_table
+    columns = QUANTILE_COLUMNS if kind == "lines" else BOX_COLUMNS
+    bad = _with_last_cell(table, columns, column, value, tmp_path / "bad.csv")
+    out = tmp_path / "x.svg"
+    assert main(["plot", bad, "--kind", kind, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "analyze", "plot"])

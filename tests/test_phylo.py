@@ -97,6 +97,8 @@ def test_phylogenetic_distance_counts_mutations():
     reg, tip = chain_registry(5)
     assert phylogenetic_distance(reg, 0) == 0
     assert phylogenetic_distance(reg, tip) == 5
+    with pytest.raises(KeyError):
+        phylogenetic_distance(reg, tip + 1)
 
 
 def test_antigenic_distance_on_small_tree():
@@ -116,6 +118,8 @@ def test_antigenic_distance_rejects_unknown_cluster():
     reg = Registry(WILD)
     with pytest.raises(KeyError):
         antigenic_distance(reg, 0, 5)
+    with pytest.raises(KeyError):
+        antigenic_distance(reg, -1, 0)
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=40), st.randoms())

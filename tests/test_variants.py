@@ -153,6 +153,10 @@ def test_registry_tree_invariants_after_random_growth():
     for cid in range(1, reg.n_clusters):
         assert reg.cluster(cid).parent < cid
         assert reg.cluster(cid).depth == reg.cluster(reg.cluster(cid).parent).depth + 1
+    assert reg.cluster_parents.tolist() == [-1] + [
+        reg.cluster(cid).parent for cid in range(1, reg.n_clusters)
+    ]
+    assert reg.cluster_depths.tolist() == [reg.cluster(cid).depth for cid in range(reg.n_clusters)]
 
 
 def test_cluster_neighbors_order():
