@@ -36,6 +36,7 @@ DATASET_DIGEST = "ef307d93e16975c7613f4c961f1bcf5505f2f3e37de4404418306c22e012bf
 MANIFEST_DIGEST = "f1520670ef020fa6b0ef30005cb149e57bc6a0aff40ae94713c4210b9b186ed1"
 SVG_DIGEST = "7225ab0091639d0e54fabdfc0a55ed75887573454c71136ae36077034227302d"
 EVENTS_DIGEST = "4d2227ce4c18b631524ecfb671f78586c8e42bfd6e65785950c277f47fcaa35d"
+ODE_DIGEST = "ee726b6a6d0df8d450de39cb957ff77b42bf7ff8b6625db8b56d6c888af6df05"
 
 
 def _sha256(data: bytes) -> str:
@@ -61,6 +62,14 @@ def test_event_log_is_pinned(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["run", str(config), "--out", str(out), "--events", str(events)]) == 0
     assert _sha256(events.read_bytes()) == EVENTS_DIGEST, _pin_message("event log of default run")
+
+
+def test_ode_csv_is_pinned(tmp_path):
+    config = tmp_path / "p.cfg"
+    config.write_text(params_to_config(SimParams()))
+    out = tmp_path / "ode.csv"
+    assert main(["ode", str(config), "--horizon", "200", "--dt", "0.05", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == ODE_DIGEST, _pin_message("ode CSV of default params")
 
 
 @pytest.fixture(scope="module")
