@@ -8,7 +8,6 @@ reports the peak.  Writes ode_trajectory.csv next to this script.
 import dataclasses
 import os
 
-from sepaird import SimParams
 from sepaird.ode import (
     abm_to_ode,
     basic_reproduction,
@@ -16,6 +15,7 @@ from sepaird.ode import (
     integrate,
     seeded_state,
 )
+from sepaird.params import SimParams
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 
@@ -34,27 +34,24 @@ def main():
     s0 = seeded_state(p.n_agents, p.n_initial_infected, "P")
     trajectory = integrate(s0, op, horizon=200.0, dt=0.05)
 
+    rows = list(zip(trajectory.times.tolist(), trajectory.states.tolist()))
     peak_t, peak_load = 0.0, 0.0
-    final = None
-    for t, s in trajectory:
-        load = s.E + s.P + s.A + s.I
+    for t, (S, E, P, A, I, R, D) in rows:
+        load = E + P + A + I
         if load > peak_load:
             peak_t, peak_load = t, load
-        final = s
+    final = rows[-1][1]
     print(f"\npeak infection load {peak_load:.0f} agents "
           f"({peak_load / p.n_agents:.1%}) on day {peak_t:.1f}")
-    print(f"day 200: susceptible share {final.S / p.n_agents:.1%}, "
-          f"deaths {final.D:.0f}, Rt = {effective_reproduction(final, op):.3f}")
+    print(f"day 200: susceptible share {final[0] / p.n_agents:.1%}, "
+          f"deaths {final[-1]:.0f}, Rt = {effective_reproduction(final, op):.3f}")
 
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, "ode_trajectory.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,S,E,P,A,I,R,D\n")
-        for t, s in trajectory:
-            cells = [repr(float(t))] + [
-                repr(getattr(s, name)) for name in "SEPAIRD"
-            ]
-            fh.write(",".join(cells) + "\n")
+        for t, state in rows:
+            fh.write(",".join(repr(v) for v in [t, *state]) + "\n")
     print(f"\nwrote {path}")
 
 

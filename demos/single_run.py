@@ -8,9 +8,10 @@ single_run.csv (per-step metrics) next to this script.
 
 import os
 
-from sepaird import SimParams, init_world
+from sepaird.abm import init_world
 from sepaird.montecarlo import SweepDataset, collect_world_run, write_dataset
-from sepaird.phylo import active_variant_stats, variant_stats
+from sepaird.params import SimParams
+from sepaird.phylo import active_variant_stats, variant_r0, variant_r0_adapted
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 
@@ -39,10 +40,11 @@ def main():
     print(f"\n{label} variants ({summary.n_variants}):")
     ids = w.last_active_variants if summary.extinct else tuple(w.active_variants())
     for vid in list(ids)[:8]:
-        s = variant_stats(reg, int(vid), p.daily_contacts)
-        print(f"  variant {s.variant_id:4d}: r0 {s.r0:5.2f}, "
-              f"adapted ratio {s.adapted_ratio:.2f}, "
-              f"{s.phylo_depth} mutations from wild type")
+        props = reg.props_matrix[vid]
+        r0 = variant_r0(props, p.daily_contacts)
+        ratio = variant_r0_adapted(props, p.daily_contacts) / r0 if r0 > 0.0 else 1.0
+        print(f"  variant {vid:4d}: r0 {r0:5.2f}, adapted ratio {ratio:.2f}, "
+              f"{reg.variant_depth[vid]} mutations from wild type")
     print(f"mean r0 of that set: {summary.mean_r0:.2f} (wild type 2.50)")
 
     os.makedirs(OUT, exist_ok=True)

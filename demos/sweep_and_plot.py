@@ -9,7 +9,6 @@ bytes.
 
 import os
 
-from sepaird import SimParams
 from sepaird.montecarlo import (
     SweepGrid,
     notched_box,
@@ -18,6 +17,7 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
 )
+from sepaird.params import SimParams
 from sepaird.svg import render_notched_boxes, render_quantile_lines
 
 OUT = os.path.join(os.path.dirname(__file__), "output")

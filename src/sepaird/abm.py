@@ -147,7 +147,6 @@ class World:
                 self.registry,
                 source_variant,
                 drift,
-                self.step_index,
                 p.mutation_mean,
                 p.mutation_sd,
                 self.rng,

@@ -142,12 +142,10 @@ def _cmd_ode(args) -> int:
     s0 = seeded_state(p.n_agents, p.n_initial_infected, "P")
     trajectory = integrate(s0, op, horizon, dt=args.dt)
     lines = ["t,S,E,P,A,I,R,D,Rt"]
-    for t, state in trajectory:
-        rt = effective_reproduction(state, op)
-        cells = [repr(float(t))]
-        cells += [repr(getattr(state, name)) for name in ("S", "E", "P", "A", "I", "R", "D")]
-        cells.append(repr(rt))
-        lines.append(",".join(cells))
+    for t, row in zip(trajectory.times.tolist(), trajectory.states):
+        state = row.tolist()
+        cells = [t, *state, effective_reproduction(state, op)]
+        lines.append(",".join(map(repr, cells)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return _EXIT_OK
 

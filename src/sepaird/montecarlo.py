@@ -133,10 +133,6 @@ def collect_world_run(w, replication: int = 0) -> list:
     return rows
 
 
-def collect_run(p: SimParams, replication: int = 0) -> list:
-    return collect_world_run(init_world(p), replication)
-
-
 # The sweep grid's value list for each scenario field, in field order.
 _GRID_FIELD_OF = {
     "mutation_prob": "mutation_probs",
@@ -230,22 +226,14 @@ def replication_seed(base_seed: int, scenario: Scenario, replication: int) -> in
     return derive_seed(base_seed, scenario.key(), replication)
 
 
-def run_replication(
-    base: SimParams, scenario: Scenario, replication: int, base_seed: int, horizon: int
-) -> list:
-    p = dataclasses.replace(
-        scenario.apply(base),
-        horizon=horizon,
-        seed=replication_seed(base_seed, scenario, replication),
-    )
-    return collect_run(p, replication)
-
-
 def _sweep_task(args):
-    grid, ordinal, replication = args
-    scenario = grid.scenarios()[ordinal]
-    rows = run_replication(grid.base, scenario, replication, grid.base_seed, grid.horizon)
-    return ordinal, replication, rows
+    grid, ordinal, scenario, replication = args
+    p = dataclasses.replace(
+        scenario.apply(grid.base),
+        horizon=grid.horizon,
+        seed=replication_seed(grid.base_seed, scenario, replication),
+    )
+    return ordinal, replication, collect_world_run(init_world(p), replication)
 
 
 @dataclass(frozen=True)
@@ -273,10 +261,9 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     (done, total).
     """
     validate_sweep(grid, jobs)
-    scenario_list = grid.scenarios()
     tasks = [
-        (grid, ordinal, replication)
-        for ordinal in range(len(scenario_list))
+        (grid, ordinal, scenario, replication)
+        for ordinal, scenario in enumerate(grid.scenarios())
         for replication in range(grid.replications)
     ]
     results = []

@@ -6,8 +6,9 @@ from P, A and (unless isolated) I; uniform social distancing scales the
 force of infection by ``1 - delta``.  The two policies may be combined,
 composing multiplicatively.
 
-The living population ``N = S+E+P+A+I+R`` (excluding D) normalizes the
-force of infection and the effective reproduction number.
+A state is one float64 vector of the seven masses in ``COMPARTMENTS``
+order.  The living population ``N = S+E+P+A+I+R`` (excluding D)
+normalizes the force of infection and the effective reproduction number.
 """
 
 from __future__ import annotations
@@ -50,34 +51,6 @@ class OdeParams:
     isolate: bool = False
 
 
-@dataclass(frozen=True)
-class OdeState:
-    """Population masses of the seven compartments."""
-
-    S: float
-    E: float
-    P: float
-    A: float
-    I: float
-    R: float
-    D: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.E, self.P, self.A, self.I, self.R, self.D])
-
-    @staticmethod
-    def from_array(y) -> "OdeState":
-        return OdeState(*(float(v) for v in y))
-
-    @property
-    def living(self) -> float:
-        return self.S + self.E + self.P + self.A + self.I + self.R
-
-    @property
-    def total(self) -> float:
-        return self.living + self.D
-
-
 def abm_to_ode(p: SimParams) -> OdeParams:
     """Map agent-level parameters to compartmental rates.
 
@@ -98,19 +71,29 @@ def abm_to_ode(p: SimParams) -> OdeParams:
     )
 
 
-def seeded_state(n_agents: float, n_infected: float, compartment: str = "P") -> OdeState:
+def seeded_state(n_agents: float, n_infected: float, compartment: str = "P") -> np.ndarray:
     """Disease-free population with ``n_infected`` seeded into one compartment."""
     if compartment not in COMPARTMENTS or compartment in ("S", "D"):
         raise OdeError(f"cannot seed infections into compartment {compartment!r}")
-    values = dict.fromkeys(COMPARTMENTS, 0.0)
-    values["S"] = float(n_agents - n_infected)
-    values[compartment] = float(n_infected)
-    return OdeState(**values)
+    y = np.zeros(len(COMPARTMENTS))
+    y[0] = n_agents - n_infected
+    y[COMPARTMENTS.index(compartment)] = n_infected
+    return y
 
 
-def _deriv(y: np.ndarray, p: OdeParams) -> np.ndarray:
-    S, E, P, A, I, R, D = y
+def _living(y) -> float:
+    """Living population ``S+E+P+A+I+R``; OdeError once it is gone."""
+    S, E, P, A, I, R, _ = y
     living = S + E + P + A + I + R
+    if living <= 0.0:
+        raise OdeError("population extinct")
+    return living
+
+
+def derivative(y: np.ndarray, p: OdeParams) -> np.ndarray:
+    """Time derivative of the seven compartments; components sum to zero."""
+    S, E, P, A, I, R, D = y
+    living = S + E + P + A + I + R  # not _living(y): four calls per RK4 step
     if living <= 0.0:
         raise OdeError("population extinct")
     infectious = P + A if p.isolate else I + P + A
@@ -125,11 +108,6 @@ def _deriv(y: np.ndarray, p: OdeParams) -> np.ndarray:
     return np.array([dS, dE, dP, dA, dI, dR, dD])
 
 
-def derivative(s: OdeState, p: OdeParams) -> OdeState:
-    """Time derivative of the seven compartments; components sum to zero."""
-    return OdeState.from_array(_deriv(s.as_array(), p))
-
-
 @dataclass
 class Trajectory:
     """Fixed-step solution: ``states[i]`` is the state at ``times[i]``."""
@@ -138,22 +116,14 @@ class Trajectory:
     states: np.ndarray
     clip_count: int = 0
 
-    def state_at(self, t: float) -> OdeState:
-        """State at the grid point nearest ``t``."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return OdeState.from_array(self.states[idx])
 
-    @property
-    def final_state(self) -> OdeState:
-        return OdeState.from_array(self.states[-1])
-
-    def __iter__(self):
-        for t, y in zip(self.times, self.states):
-            yield float(t), OdeState.from_array(y)
+# Longest integration accepted; the arrays are sized before the first
+# step, so a tiny ``dt`` must fail here rather than in the allocator.
+MAX_STEPS = 1_000_000
 
 
-def integrate(s0: OdeState, p: OdeParams, horizon: float, dt: float = 0.05) -> Trajectory:
-    """Classical fixed-step RK4 over ``[0, horizon]``.
+def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) -> Trajectory:
+    """Classical fixed-step RK4 over ``[0, horizon]`` from state ``y0``.
 
     Total mass is checked to 1e-9 relative at every step; float-noise
     negatives above -1e-12 are clipped to zero and counted.
@@ -162,18 +132,20 @@ def integrate(s0: OdeState, p: OdeParams, horizon: float, dt: float = 0.05) -> T
         raise OdeError(f"dt must be finite and > 0, got {dt}")
     if not (math.isfinite(horizon) and horizon >= dt):
         raise OdeError(f"horizon must be finite and >= dt, got {horizon}")
+    if horizon / dt > MAX_STEPS:
+        raise OdeError(f"horizon {horizon} at dt {dt} needs more than {MAX_STEPS} steps")
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
-    states = np.zeros((n_steps + 1, 7))
-    y = s0.as_array().astype(np.float64)
+    states = np.zeros((n_steps + 1, len(COMPARTMENTS)))
+    y = np.array(y0, dtype=np.float64)
     states[0] = y
     mass0 = float(y.sum())
     clip_count = 0
     for i in range(n_steps):
-        k1 = _deriv(y, p)
-        k2 = _deriv(y + 0.5 * dt * k1, p)
-        k3 = _deriv(y + 0.5 * dt * k2, p)
-        k4 = _deriv(y + dt * k3, p)
+        k1 = derivative(y, p)
+        k2 = derivative(y + 0.5 * dt * k1, p)
+        k3 = derivative(y + 0.5 * dt * k2, p)
+        k4 = derivative(y + dt * k3, p)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise OdeError("integration diverged")
@@ -199,12 +171,9 @@ def basic_reproduction(p: OdeParams) -> float:
     return _r0_formula(p.beta, p.gamma, p.mu, p.nu, p.delta, p.isolate)
 
 
-def effective_reproduction(s: OdeState, p: OdeParams) -> float:
+def effective_reproduction(y, p: OdeParams) -> float:
     """Reproduction number scaled by the current susceptible share."""
-    living = s.living
-    if living <= 0.0:
-        raise OdeError("population extinct")
-    return basic_reproduction(p) * s.S / living
+    return float(basic_reproduction(p) * y[0] / _living(y))
 
 
 SENSITIVITY_QUANTITIES = ("beta", "gamma", "mu", "nu", "S", "N")
@@ -222,21 +191,19 @@ class FitnessSensitivities:
     signs: dict
 
 
-def fitness_sensitivities(s: OdeState, p: OdeParams) -> FitnessSensitivities:
+def fitness_sensitivities(y, p: OdeParams) -> FitnessSensitivities:
     """Central finite-difference gradient of R_t over (beta, gamma, mu, nu, S, N).
 
     S and N are treated as independent arguments of the R_t formula, so
     the S derivative holds the living population fixed.  Without isolation
     the nu derivative is exactly zero (nu does not enter the formula).
     """
-    living = s.living
-    if living <= 0.0:
-        raise OdeError("population extinct")
+    living = _living(y)
 
     def rt(beta, gamma, mu, nu, S, N):
         return _r0_formula(beta, gamma, mu, nu, p.delta, p.isolate) * S / N
 
-    base = {"beta": p.beta, "gamma": p.gamma, "mu": p.mu, "nu": p.nu, "S": s.S, "N": living}
+    base = {"beta": p.beta, "gamma": p.gamma, "mu": p.mu, "nu": p.nu, "S": float(y[0]), "N": living}
     derivatives = {}
     signs = {}
     for name in SENSITIVITY_QUANTITIES:

@@ -18,8 +18,14 @@ from .variants import (
     LATENT_END,
     SYMPTOMATIC_CHANCE,
     Registry,
-    known_id,
 )
+
+
+def _known_id(ident: int, count: int, kind: str) -> int:
+    """``ident`` if it is one of the dense ids ``0 .. count-1``, else KeyError."""
+    if not 0 <= ident < count:
+        raise KeyError(f"unknown {kind} id {ident}")
+    return ident
 
 
 def variant_r0(props: np.ndarray, eta: int) -> float:
@@ -65,7 +71,7 @@ def _r0_arrays(props: np.ndarray, eta: int):
 
 def phylogenetic_distance(registry: Registry, variant: int) -> int:
     """Mutation count separating a variant from the wild type."""
-    return int(registry.variant_depth[known_id(variant, registry.n_variants, "variant")])
+    return int(registry.variant_depth[_known_id(variant, registry.n_variants, "variant")])
 
 
 def antigenic_distance(registry: Registry, a: int, b: int) -> int:
@@ -76,8 +82,8 @@ def antigenic_distance(registry: Registry, a: int, b: int) -> int:
     """
     parents = registry.cluster_parents
     depths = registry.cluster_depths
-    da = depths[known_id(a, registry.n_clusters, "cluster")]
-    db = depths[known_id(b, registry.n_clusters, "cluster")]
+    da = depths[_known_id(a, registry.n_clusters, "cluster")]
+    db = depths[_known_id(b, registry.n_clusters, "cluster")]
     dist = 0
     while da > db:
         a = parents[a]
@@ -92,33 +98,6 @@ def antigenic_distance(registry: Registry, a: int, b: int) -> int:
         b = parents[b]
         dist += 2
     return dist
-
-
-@dataclass(frozen=True)
-class VariantStats:
-    """Fitness metrics of a single variant."""
-
-    variant_id: int
-    r0: float
-    r0_adapted: float
-    adapted_ratio: float
-    phylo_depth: int
-    cluster_depth: int
-
-
-def variant_stats(registry: Registry, variant: int, eta: int) -> VariantStats:
-    rec = registry.variant(variant)
-    props = registry.props_matrix[variant]
-    r0 = variant_r0(props, eta)
-    adapted = variant_r0_adapted(props, eta)
-    return VariantStats(
-        variant_id=rec.id,
-        r0=r0,
-        r0_adapted=adapted,
-        adapted_ratio=adapted / r0 if r0 > 0.0 else 1.0,
-        phylo_depth=rec.depth,
-        cluster_depth=int(registry.cluster_depths[rec.cluster]),
-    )
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ property used as a probability is clamped to 1 at its point of use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import SimParams
@@ -43,34 +41,6 @@ SHOCK_FLOOR = -0.99
 def wild_type_props(p: SimParams) -> np.ndarray:
     """Wild-type property row from the run parameters."""
     return np.array([getattr(p, f"{name}0") for name in PROP_NAMES], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class VariantRecord:
-    """One node of the phylogenetic tree."""
-
-    id: int
-    parent: int | None
-    cluster: int
-    depth: int
-    born_step: int
-
-
-@dataclass(frozen=True)
-class ClusterRecord:
-    """One node of the antigenic-cluster tree."""
-
-    id: int
-    parent: int | None
-    depth: int
-    children: tuple
-
-
-def known_id(ident: int, count: int, kind: str) -> int:
-    """``ident`` if it is one of the dense ids ``0 .. count-1``, else KeyError."""
-    if not 0 <= ident < count:
-        raise KeyError(f"unknown {kind} id {ident}")
-    return ident
 
 
 def grown(array: np.ndarray, need: int, axis: int = 0) -> np.ndarray:
@@ -108,8 +78,7 @@ class Registry:
     id 0 is the wild type / root cluster.  Every per-variant and
     per-cluster fact is a column indexed by id (property rows in a float
     matrix, tree links and depths in int64 vectors), grown by ``grown``,
-    so the simulation hot path can index them in bulk.  The records
-    returned by ``variant`` and ``cluster`` are assembled on demand.
+    so the simulation hot path can index them in bulk.
     """
 
     def __init__(self, wild_props: np.ndarray):
@@ -118,7 +87,6 @@ class Registry:
         self._parent = np.full(cap, -1, dtype=np.int64)
         self._cluster = np.zeros(cap, dtype=np.int64)
         self._depth = np.zeros(cap, dtype=np.int64)
-        self._born = np.zeros(cap, dtype=np.int64)
         self.n_variants = 0
 
         self._cl_parent = np.full(cap, -1, dtype=np.int64)
@@ -126,40 +94,32 @@ class Registry:
         self._cl_neighbors: list[tuple] = [()]
         self.n_clusters = 1
 
-        self._append_variant(wild_props, parent=-1, cluster=0, depth=0, step=0)
+        self._append_variant(wild_props, parent=-1, cluster=0, depth=0)
 
     # -- variants ---------------------------------------------------------
 
-    def _append_variant(self, vec, parent, cluster, depth, step) -> int:
+    def _append_variant(self, vec, parent, cluster, depth) -> int:
         vid = self.n_variants
         self._props = grown(self._props, vid + 1)
         self._parent = grown(self._parent, vid + 1)
         self._cluster = grown(self._cluster, vid + 1)
         self._depth = grown(self._depth, vid + 1)
-        self._born = grown(self._born, vid + 1)
         self._props[vid] = vec
         self._parent[vid] = parent
         self._cluster[vid] = cluster
         self._depth[vid] = depth
-        self._born[vid] = step
         self.n_variants += 1
         return vid
-
-    def variant(self, vid: int) -> VariantRecord:
-        known_id(vid, self.n_variants, "variant")
-        parent = int(self._parent[vid])
-        return VariantRecord(
-            id=vid,
-            parent=None if parent < 0 else parent,
-            cluster=int(self._cluster[vid]),
-            depth=int(self._depth[vid]),
-            born_step=int(self._born[vid]),
-        )
 
     @property
     def props_matrix(self) -> np.ndarray:
         """View of all property vectors, shape (n_variants, 6)."""
         return self._props[: self.n_variants]
+
+    @property
+    def variant_parents(self) -> np.ndarray:
+        """Parent of every variant; the wild type's is -1."""
+        return self._parent[: self.n_variants]
 
     @property
     def variant_cluster(self) -> np.ndarray:
@@ -181,17 +141,6 @@ class Registry:
         self._cl_neighbors[parent] += (cid,)
         self.n_clusters += 1
         return cid
-
-    def cluster(self, cid: int) -> ClusterRecord:
-        known_id(cid, self.n_clusters, "cluster")
-        parent = int(self._cl_parent[cid])
-        neighbors = self._cl_neighbors[cid]
-        return ClusterRecord(
-            id=cid,
-            parent=None if parent < 0 else parent,
-            depth=int(self._cl_depth[cid]),
-            children=neighbors if parent < 0 else neighbors[1:],
-        )
 
     @property
     def cluster_parents(self) -> np.ndarray:
@@ -223,7 +172,6 @@ def spawn_variant(
     registry: Registry,
     parent_id: int,
     drift: bool,
-    step: int,
     theta: float,
     sigma_i: float,
     rng: RngStream,
@@ -241,5 +189,4 @@ def spawn_variant(
         parent=parent_id,
         cluster=cluster,
         depth=int(registry._depth[parent_id]) + 1,
-        step=step,
     )

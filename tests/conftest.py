@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import settings
 
-from sepaird import SimParams
+from sepaird.params import SimParams
 
 # property tests run numpy-heavy bodies; the default deadline is too twitchy
 settings.register_profile("suite", deadline=None, max_examples=60)

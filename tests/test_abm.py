@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import sepaird.abm as abm
-from sepaird import SimParams, init_world, run
+from sepaird.abm import init_world, run
 from sepaird.montecarlo import Scenario, collect_world_run
-from sepaird.params import ConfigError
+from sepaird.params import ConfigError, SimParams
 from sepaird.rng import RngStream
 
 WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
@@ -184,7 +184,7 @@ def test_try_infect_mutation_and_drift_bookkeeping(tiny_params):
     assert w.variant_of[50] == 1
     assert w.registry.n_variants == 2
     assert w.registry.n_clusters == 2
-    assert w.registry.variant(1).cluster == 1
+    assert w.registry.variant_cluster[1] == 1
     # drift grant with cross_immunity 0.5 is random; structure is not
     assert not w.immune[50, 1]  # the first carrier gains nothing
 
@@ -203,7 +203,7 @@ def test_mutation_without_drift_keeps_cluster(tiny_params):
     w.try_infect(0, 50)
     assert w.registry.n_variants == 2
     assert w.registry.n_clusters == 1
-    assert w.registry.variant(1).cluster == 0
+    assert w.registry.variant_cluster[1] == 0
 
 
 def test_every_infection_mutates_when_certain(tiny_params):

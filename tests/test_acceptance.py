@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import binomtest, mannwhitneyu
 
 import sepaird.abm as abm
-from sepaird import SimParams, init_world, run
+from sepaird.abm import init_world, run
 from sepaird.montecarlo import (
     Scenario,
     SweepDataset,
@@ -29,6 +29,7 @@ from sepaird.ode import (
     integrate,
     seeded_state,
 )
+from sepaird.params import SimParams
 from sepaird.phylo import active_variant_stats, variant_r0, variant_r0_adapted
 from sepaird.rng import RngStream
 
@@ -111,9 +112,9 @@ def wave_runs():
     trajectory = integrate(seeded_state(N, 10, "P"), op, horizon=200.0, dt=0.05)
     ode_peak = 0.0
     ode_cum = None
-    for t, s in trajectory:
-        ode_peak = max(ode_peak, (s.E + s.P + s.A + s.I) / N)
-        ode_cum = (N - s.S) / N
+    for S, E, P, A, I, R, D in trajectory.states.tolist():
+        ode_peak = max(ode_peak, (E + P + A + I) / N)
+        ode_cum = (N - S) / N
     return cums, peaks, ode_cum, ode_peak
 
 

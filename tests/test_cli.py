@@ -3,10 +3,10 @@ import os
 
 import pytest
 
-from sepaird import SimParams
 from sepaird.cli import main
 from sepaird.montecarlo import BOX_COLUMNS, CSV_COLUMNS, QUANTILE_COLUMNS, read_dataset
-from sepaird.params import params_to_config
+from sepaird.ode import MAX_STEPS
+from sepaird.params import SimParams, params_to_config
 
 FAST = SimParams(n_agents=300, n_initial_infected=5, mutation_prob=0.05,
                  drift_prob=0.3, horizon=12, seed=3)
@@ -133,14 +133,18 @@ def test_ode_rejects_degenerate_phases(tmp_path, capsys):
     assert "course ordering" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--horizon", "nan"),
-                                        ("--horizon", "inf")])
-def test_ode_rejects_non_finite_arguments(config, tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dt", "nan", "must be finite"),
+    ("--horizon", "nan", "must be finite"),
+    ("--horizon", "inf", "must be finite"),
+    ("--dt", "1e-15", f"more than {MAX_STEPS} steps"),
+], ids=["--dt-nan", "--horizon-nan", "--horizon-inf", "--dt-1e-15"])
+def test_ode_rejects_non_finite_arguments(config, tmp_path, capsys, flag, value, message):
     out = tmp_path / "x.csv"
     assert main(["ode", config, flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sepaird ode: ") and err.count("\n") == 1
-    assert "must be finite" in err
+    assert message in err
     assert not out.exists()
 
 

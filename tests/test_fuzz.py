@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepaird import SimParams
 from sepaird.montecarlo import CSV_COLUMNS, DatasetError, grid_from_text, read_dataset
-from sepaird.params import ConfigError, parse_config_text
+from sepaird.params import ConfigError, SimParams, parse_config_text
 
 PARSE_ERRORS = (ConfigError, DatasetError)
 

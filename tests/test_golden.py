@@ -11,10 +11,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from sepaird import SimParams, SweepGrid, init_world, quantile_series, run, sweep
+from sepaird.abm import init_world, run
 from sepaird.cli import main
-from sepaird.montecarlo import write_dataset, write_manifest
-from sepaird.params import params_to_config
+from sepaird.montecarlo import SweepGrid, quantile_series, sweep, write_dataset, write_manifest
+from sepaird.params import SimParams, params_to_config
 from sepaird.svg import render_quantile_lines
 
 WORLD_DIGESTS = {

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from sepaird import SimParams
 from sepaird.montecarlo import (
     BOX_COLUMNS,
     CSV_COLUMNS,
@@ -30,7 +29,7 @@ from sepaird.montecarlo import (
     write_manifest,
     write_quantiles,
 )
-from sepaird.params import ConfigError
+from sepaird.params import ConfigError, SimParams
 
 BASE_SCENARIO = Scenario(0.02, 0.5, 0.99, True, 0.0)
 

@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sepaird import SimParams
 from sepaird.ode import (
     COMPARTMENTS,
     OdeError,
     OdeParams,
-    OdeState,
     abm_to_ode,
     basic_reproduction,
     derivative,
@@ -18,6 +16,7 @@ from sepaird.ode import (
     integrate,
     seeded_state,
 )
+from sepaird.params import SimParams
 
 DEFAULTS = abm_to_ode(SimParams())
 
@@ -99,8 +98,8 @@ def test_isolation_never_raises_r0():
 
 def test_effective_reproduction_linear_in_s():
     # move mass between S and R, keeping the living total fixed
-    lo = OdeState(S=2000.0, E=0.0, P=0.0, A=0.0, I=0.0, R=8000.0, D=0.0)
-    hi = OdeState(S=4000.0, E=0.0, P=0.0, A=0.0, I=0.0, R=6000.0, D=0.0)
+    lo = np.array([2000.0, 0.0, 0.0, 0.0, 0.0, 8000.0, 0.0])
+    hi = np.array([4000.0, 0.0, 0.0, 0.0, 0.0, 6000.0, 0.0])
     assert effective_reproduction(hi, DEFAULTS) == pytest.approx(
         2.0 * effective_reproduction(lo, DEFAULTS), rel=1e-14
     )
@@ -112,16 +111,17 @@ def test_effective_reproduction_full_population():
 
 
 def test_effective_reproduction_extinct_population():
-    dead = OdeState(S=0.0, E=0.0, P=0.0, A=0.0, I=0.0, R=0.0, D=10000.0)
+    dead = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10000.0])
     with pytest.raises(OdeError, match="extinct"):
         effective_reproduction(dead, DEFAULTS)
 
 
 def test_seeded_state_compartments():
     s = seeded_state(100, 10, compartment="P")
-    assert s.S == 90.0 and s.P == 10.0 and s.total == 100.0
+    assert s.dtype == np.float64 and s.shape == (len(COMPARTMENTS),)
+    assert s[0] == 90.0 and s[2] == 10.0 and s.sum() == 100.0
     e = seeded_state(100, 10, compartment="E")
-    assert e.E == 10.0
+    assert e[1] == 10.0
     for bad in ("S", "D", "Z"):
         with pytest.raises(OdeError):
             seeded_state(100, 10, compartment=bad)
@@ -129,17 +129,16 @@ def test_seeded_state_compartments():
 
 def test_derivative_conserves_mass():
     s = seeded_state(1.0, 0.001, compartment="I")
-    d = derivative(s, DEFAULTS)
-    assert abs(d.S + d.E + d.P + d.A + d.I + d.R + d.D) <= 1e-12
+    S, E, P, A, I, R, D = derivative(s, DEFAULTS)
+    assert abs(S + E + P + A + I + R + D) <= 1e-12
 
 
 def test_derivative_conserves_mass_randomized():
     rng = np.random.default_rng(3)
     for _ in range(200):
         parts = rng.dirichlet(np.ones(7))  # unit-scale state
-        s = OdeState(*parts)
-        d = derivative(s, DEFAULTS)
-        total = d.S + d.E + d.P + d.A + d.I + d.R + d.D
+        S, E, P, A, I, R, D = derivative(parts, DEFAULTS)
+        total = S + E + P + A + I + R + D
         assert abs(total) <= 1e-12
 
 
@@ -165,31 +164,22 @@ def test_trajectory_shape_and_monotone_compartments():
     assert np.all(traj.states >= -1e-12)
 
 
-def test_state_at_nearest_grid_point():
-    s0 = seeded_state(1000, 1, compartment="E")
-    traj = integrate(s0, DEFAULTS, horizon=10.0, dt=0.5)
-    assert traj.state_at(3.26).as_array() == pytest.approx(
-        traj.states[np.argmin(np.abs(traj.times - 3.26))]
-    )
-    assert traj.state_at(0.0) == OdeState.from_array(traj.states[0])
-    assert traj.final_state == OdeState.from_array(traj.states[-1])
-
-
 def test_effective_reproduction_declines_with_susceptibles():
     s0 = seeded_state(10000, 10, compartment="E")
     traj = integrate(s0, DEFAULTS, horizon=120.0, dt=0.05)
-    early = effective_reproduction(traj.state_at(1.0), DEFAULTS)
-    late = effective_reproduction(traj.state_at(120.0), DEFAULTS)
+    assert traj.times[20] == pytest.approx(1.0) and traj.times[-1] == pytest.approx(120.0)
+    early = effective_reproduction(traj.states[20], DEFAULTS)
+    late = effective_reproduction(traj.states[-1], DEFAULTS)
     assert early > 2.0 > late
 
 
 def test_rk4_convergence_order():
     """Halving dt should scale the endpoint error by about 2**4."""
     s0 = seeded_state(10000, 10, compartment="E")
-    ref = integrate(s0, DEFAULTS, horizon=30.0, dt=0.0125).final_state.as_array()
+    ref = integrate(s0, DEFAULTS, horizon=30.0, dt=0.0125).states[-1]
     errs = []
     for dt in (0.4, 0.2, 0.1):
-        y = integrate(s0, DEFAULTS, horizon=30.0, dt=dt).final_state.as_array()
+        y = integrate(s0, DEFAULTS, horizon=30.0, dt=dt).states[-1]
         errs.append(np.linalg.norm(y - ref))
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(orders) >= 3.5
@@ -226,7 +216,8 @@ def test_sensitivity_derivatives_match_closed_form():
     s = seeded_state(10000, 100, compartment="E")
     sens = fitness_sensitivities(s, DEFAULTS)
     p = DEFAULTS
-    expected_beta = (1 / p.mu + 1 / p.gamma) * s.S / s.living
+    living = s[:6].sum()
+    expected_beta = (1 / p.mu + 1 / p.gamma) * s[0] / living
     assert sens.derivatives["beta"] == pytest.approx(expected_beta, rel=1e-5)
-    expected_s = basic_reproduction(p) / s.living
+    expected_s = basic_reproduction(p) / living
     assert sens.derivatives["S"] == pytest.approx(expected_s, rel=1e-5)

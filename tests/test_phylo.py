@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sepaird import SimParams, init_world, run
+from sepaird.abm import init_world, run
+from sepaird.params import SimParams
 from sepaird.phylo import (
     active_variant_stats,
     antigenic_distance,
@@ -10,7 +11,6 @@ from sepaird.phylo import (
     summarize_variants,
     variant_r0,
     variant_r0_adapted,
-    variant_stats,
 )
 from sepaird.rng import RngStream
 from sepaird.variants import (
@@ -87,9 +87,8 @@ def chain_registry(depth):
     reg = Registry(WILD)
     rng = RngStream(1)
     vid = 0
-    for step in range(depth):
-        vid = spawn_variant(reg, vid, drift=True, step=step, theta=0.0,
-                            sigma_i=0.1, rng=rng)
+    for _ in range(depth):
+        vid = spawn_variant(reg, vid, drift=True, theta=0.0, sigma_i=0.1, rng=rng)
     return reg, vid
 
 
@@ -135,7 +134,7 @@ def test_antigenic_distance_is_a_tree_metric(raw_parents, pick):
     bc = antigenic_distance(reg, b, c)
     ac = antigenic_distance(reg, a, c)
     assert ac <= ab + bc
-    assert antigenic_distance(reg, a, 0) == reg.cluster(a).depth
+    assert antigenic_distance(reg, a, 0) == reg.cluster_depths[a]
 
 
 # -- per-variant and aggregate stats ------------------------------------
@@ -143,47 +142,44 @@ def test_antigenic_distance_is_a_tree_metric(raw_parents, pick):
 
 def test_variant_stats_fields():
     reg, tip = chain_registry(3)
-    s = variant_stats(reg, tip, ETA)
+    s = summarize_variants(reg, np.array([tip]), ETA, extinct=False)
     row = reg.props_matrix[tip]
-    assert s.variant_id == tip
-    assert s.r0 == variant_r0(row, ETA)
-    assert s.r0_adapted == variant_r0_adapted(row, ETA)
-    assert s.adapted_ratio == pytest.approx(s.r0_adapted / s.r0)
-    assert s.phylo_depth == 3
-    assert s.cluster_depth == 3
+    r0, adapted = variant_r0(row, ETA), variant_r0_adapted(row, ETA)
+    assert s.n_variants == 1
+    assert s.mean_r0 == r0
+    assert s.mean_adapted_ratio == pytest.approx(adapted / r0)
+    assert s.mean_phylo_depth == 3
+    assert reg.cluster_depths[reg.variant_cluster[tip]] == 3
 
 
 def test_variant_stats_ratio_defaults_to_one_without_spread():
     reg = Registry(props(duration=4.0))  # window collapses to zero
-    s = variant_stats(reg, 0, ETA)
-    assert s.r0 == 0.0
-    assert s.adapted_ratio == 1.0
+    s = summarize_variants(reg, np.array([0]), ETA, extinct=False)
+    assert s.mean_r0 == 0.0
+    assert s.mean_adapted_ratio == 1.0
 
 
 def test_summary_matches_per_variant_means():
     reg, _ = chain_registry(6)
     ids = np.arange(reg.n_variants)
     summary = summarize_variants(reg, ids, ETA, extinct=False)
-    singles = [variant_stats(reg, int(v), ETA) for v in ids]
+    rows = reg.props_matrix
+    r0s = [variant_r0(rows[v], ETA) for v in ids]
+    ratios = [variant_r0_adapted(rows[v], ETA) / r0 if r0 > 0.0 else 1.0
+              for v, r0 in zip(ids, r0s)]
     assert summary.n_variants == 7
     assert not summary.extinct
-    assert summary.mean_r0 == pytest.approx(np.mean([s.r0 for s in singles]))
-    assert summary.mean_adapted_ratio == pytest.approx(
-        np.mean([s.adapted_ratio for s in singles])
-    )
+    assert summary.mean_r0 == pytest.approx(np.mean(r0s))
+    assert summary.mean_adapted_ratio == pytest.approx(np.mean(ratios))
     assert summary.mean_phylo_depth == pytest.approx(
-        np.mean([s.phylo_depth for s in singles])
+        np.mean([phylogenetic_distance(reg, int(v)) for v in ids])
     )
     assert summary.max_antigenic_distance == 6
     assert summary.mean_infectiousness == pytest.approx(
-        np.mean([reg.props_matrix[s.variant_id, INFECTIOUSNESS] for s in singles])
+        np.mean([rows[v, INFECTIOUSNESS] for v in ids])
     )
-    assert summary.mean_duration == pytest.approx(
-        np.mean([reg.props_matrix[s.variant_id, DURATION] for s in singles])
-    )
-    assert summary.mean_fatality == pytest.approx(
-        np.mean([reg.props_matrix[s.variant_id, FATALITY] for s in singles])
-    )
+    assert summary.mean_duration == pytest.approx(np.mean([rows[v, DURATION] for v in ids]))
+    assert summary.mean_fatality == pytest.approx(np.mean([rows[v, FATALITY] for v in ids]))
 
 
 def test_max_antigenic_distance_includes_extinct_clusters():

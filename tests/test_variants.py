@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepaird import SimParams
+from sepaird.params import SimParams
 from sepaird.rng import RngStream
 from sepaird.variants import (
     DURATION,
@@ -86,43 +85,31 @@ def test_registry_initial_state():
     assert reg.n_clusters == 1
     assert reg.n_mutations == 0
     assert reg.n_drifts == 0
-    wild = reg.variant(0)
-    assert wild.parent is None
-    assert wild.cluster == 0
-    assert wild.depth == 0
-    root = reg.cluster(0)
-    assert root.parent is None
-    assert root.depth == 0
-
-
-def test_unknown_ids_raise():
-    reg = Registry(WILD)
-    with pytest.raises(KeyError):
-        reg.variant(1)
-    with pytest.raises(KeyError):
-        reg.cluster(5)
+    assert reg.variant_parents.tolist() == [-1]
+    assert reg.variant_cluster.tolist() == [0]
+    assert reg.variant_depth.tolist() == [0]
+    assert reg.cluster_parents.tolist() == [-1]
+    assert reg.cluster_depths.tolist() == [0]
 
 
 def test_spawn_without_drift_keeps_cluster():
     reg = Registry(WILD)
     rng = RngStream(4)
-    vid = spawn_variant(reg, 0, drift=False, step=3, theta=0.0, sigma_i=0.05, rng=rng)
+    vid = spawn_variant(reg, 0, drift=False, theta=0.0, sigma_i=0.05, rng=rng)
     assert vid == 1
-    rec = reg.variant(vid)
-    assert rec.parent == 0
-    assert rec.cluster == 0
-    assert rec.depth == 1
-    assert rec.born_step == 3
+    assert reg.variant_parents[vid] == 0
+    assert reg.variant_cluster[vid] == 0
+    assert reg.variant_depth[vid] == 1
     assert reg.n_clusters == 1
 
 
 def test_spawn_with_drift_opens_child_cluster():
     reg = Registry(WILD)
     rng = RngStream(4)
-    vid = spawn_variant(reg, 0, drift=True, step=7, theta=0.0, sigma_i=0.05, rng=rng)
-    assert reg.variant(vid).cluster == 1
-    assert reg.cluster(1).parent == 0
-    assert reg.cluster(1).depth == 1
+    vid = spawn_variant(reg, 0, drift=True, theta=0.0, sigma_i=0.05, rng=rng)
+    assert reg.variant_cluster[vid] == 1
+    assert reg.cluster_parents[1] == 0
+    assert reg.cluster_depths[1] == 1
     assert reg.n_drifts == 1
 
 
@@ -134,29 +121,26 @@ def test_registry_tree_invariants_after_random_growth():
         parent = int(rng.integers(0, reg.n_variants))
         drift = bool(rng.bernoulli(0.25))
         drifts += drift
-        spawn_variant(reg, parent, drift, step=k, theta=0.0, sigma_i=0.3, rng=rng)
+        spawn_variant(reg, parent, drift, theta=0.0, sigma_i=0.3, rng=rng)
     assert reg.n_variants == 301
     assert reg.n_mutations == 300
     assert reg.n_drifts == drifts
     assert reg.n_clusters == 1 + drifts
+    parents, clusters, depths = reg.variant_parents, reg.variant_cluster, reg.variant_depth
+    assert parents[0] == -1
     for vid in range(1, reg.n_variants):
-        rec = reg.variant(vid)
-        assert rec.parent < vid  # creation order is append-only
-        parent = reg.variant(rec.parent)
-        assert rec.depth == parent.depth + 1
+        parent = parents[vid]
+        assert 0 <= parent < vid  # creation order is append-only
+        assert depths[vid] == depths[parent] + 1
         # a non-drift child shares its parent's cluster; a drift child's
         # cluster has the parent's cluster as its own parent
-        if rec.cluster == parent.cluster:
-            pass
-        else:
-            assert reg.cluster(rec.cluster).parent == parent.cluster
+        if clusters[vid] != clusters[parent]:
+            assert reg.cluster_parents[clusters[vid]] == clusters[parent]
+    assert reg.cluster_parents[0] == -1 and reg.cluster_depths[0] == 0
     for cid in range(1, reg.n_clusters):
-        assert reg.cluster(cid).parent < cid
-        assert reg.cluster(cid).depth == reg.cluster(reg.cluster(cid).parent).depth + 1
-    assert reg.cluster_parents.tolist() == [-1] + [
-        reg.cluster(cid).parent for cid in range(1, reg.n_clusters)
-    ]
-    assert reg.cluster_depths.tolist() == [reg.cluster(cid).depth for cid in range(reg.n_clusters)]
+        cl_parent = reg.cluster_parents[cid]
+        assert 0 <= cl_parent < cid
+        assert reg.cluster_depths[cid] == reg.cluster_depths[cl_parent] + 1
 
 
 def test_cluster_neighbors_order():
@@ -172,7 +156,7 @@ def test_cluster_neighbors_order():
 def test_cluster_children_creation_order():
     reg = Registry(WILD)
     kids = [reg.add_cluster(0) for _ in range(4)]
-    assert reg.cluster(0).children == tuple(kids)
+    assert reg.cluster_neighbors(0) == tuple(kids)  # the root has no parent
 
 
 def test_max_cluster_depth_tracks_all_clusters():
@@ -181,21 +165,21 @@ def test_max_cluster_depth_tracks_all_clusters():
     b = reg.add_cluster(a)
     reg.add_cluster(0)
     assert reg.max_cluster_depth() == 2
-    assert reg.cluster(b).depth == 2
+    assert reg.cluster_depths[b] == 2
 
 
 def test_props_matrix_rows_match_records():
     reg = Registry(WILD)
     rng = RngStream(2)
     for k in range(40):
-        spawn_variant(reg, k % reg.n_variants, bool(k % 5 == 0), k, 0.0, 0.1, rng)
+        spawn_variant(reg, k % reg.n_variants, bool(k % 5 == 0), 0.0, 0.1, rng)
     mat = reg.props_matrix
     assert mat.shape == (41, 6)
     assert np.array_equal(mat[0], WILD)
     # each row is its recorded parent's row under the replayed shocks
     replay = RngStream(2)
     for vid in range(1, reg.n_variants):
-        expected = mutate_props(mat[reg.variant(vid).parent], 0.0, 0.1, replay)
+        expected = mutate_props(mat[reg.variant_parents[vid]], 0.0, 0.1, replay)
         assert np.array_equal(mat[vid], expected)
 
 
@@ -203,10 +187,10 @@ def test_growth_preserves_early_records():
     """Capacity doubling must copy, not alias or repeat-fill."""
     reg = Registry(WILD)
     rng = RngStream(6)
-    first = spawn_variant(reg, 0, False, 1, 0.0, 0.2, rng)
+    first = spawn_variant(reg, 0, False, 0.0, 0.2, rng)
     snapshot = reg.props_matrix[first].copy()
     for k in range(200):
-        spawn_variant(reg, 0, k % 7 == 0, k, 0.0, 0.2, rng)
+        spawn_variant(reg, 0, k % 7 == 0, 0.0, 0.2, rng)
     assert np.array_equal(reg.props_matrix[1], snapshot)
     assert np.array_equal(reg.props_matrix[0], WILD)
 
@@ -216,15 +200,7 @@ def test_spawn_consumes_fixed_draw_count():
     reg_a, reg_b = Registry(WILD), Registry(WILD)
     rng_a, rng_b = RngStream(31), RngStream(31)
     for k in range(10):
-        ra = spawn_variant(reg_a, 0, False, k, 0.0, 0.05, rng_a)
-        rb = spawn_variant(reg_b, 0, False, k, 0.0, 0.05, rng_b)
+        ra = spawn_variant(reg_a, 0, False, 0.0, 0.05, rng_a)
+        rb = spawn_variant(reg_b, 0, False, 0.0, 0.05, rng_b)
         assert np.array_equal(reg_a.props_matrix[ra], reg_b.props_matrix[rb])
 
-
-def test_variant_record_identity_fields():
-    reg = Registry(WILD)
-    rng = RngStream(8)
-    vid = spawn_variant(reg, 0, True, 11, 0.1, 0.05, rng)
-    rec = reg.variant(vid)
-    assert rec.id == vid
-    assert rec == reg.variant(vid)
