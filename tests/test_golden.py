@@ -37,6 +37,8 @@ MANIFEST_DIGEST = "f1520670ef020fa6b0ef30005cb149e57bc6a0aff40ae94713c4210b9b186
 SVG_DIGEST = "7225ab0091639d0e54fabdfc0a55ed75887573454c71136ae36077034227302d"
 EVENTS_DIGEST = "4d2227ce4c18b631524ecfb671f78586c8e42bfd6e65785950c277f47fcaa35d"
 ODE_DIGEST = "ee726b6a6d0df8d450de39cb957ff77b42bf7ff8b6625db8b56d6c888af6df05"
+# default SimParams(seed=42): 10k agents, 500 steps, about 125k infections
+BENCH_SIZE_DIGEST = "83c2140371db46ed4e72706f283a670c39a76cdbd3e7d530140fbb8f2749221f"
 
 
 def _sha256(data: bytes) -> str:
@@ -53,6 +55,11 @@ def test_world_state_bytes_are_pinned(name):
     p = SimParams(n_agents=2000, horizon=200, seed=7, **overrides)
     w = run(init_world(p))
     assert _sha256(w.state_bytes()) == digest, _pin_message(f"state of {name} run")
+
+
+def test_bench_size_state_bytes_are_pinned():
+    w = run(init_world(SimParams(seed=42)))
+    assert _sha256(w.state_bytes()) == BENCH_SIZE_DIGEST, _pin_message("state of default 10k run")
 
 
 def test_event_log_is_pinned(tmp_path):
