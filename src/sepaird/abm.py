@@ -7,13 +7,14 @@ a progression phase (counters advance, symptoms appear, courses resolve
 into death or recovery with recursive cross-immunity).
 
 Agent state is stored column-wise, one numpy array per fact; a course's
-three day marks are drawn as one int64 array.  A ``World`` is confined
+three day marks are drawn as one tuple of ints.  A ``World`` is confined
 to a single execution context for its whole run; parallelism lives one
 level up, across independent replications.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -36,13 +37,8 @@ _NO_INFECTION = -1
 _UNDETERMINED = -1
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    # nearest integer, halves away from zero; inputs are already >= 0
-    return np.floor(x + 0.5)
-
-
-def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> np.ndarray:
-    """Draw the int64 day marks (latent end, symptom day, end day) of one course.
+def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> tuple:
+    """Draw the day marks (latent end, symptom day, end day) of one course.
 
     ``props`` is the variant's property row; its latent end, incubation
     end and duration columns are the means.  Each mark is Gaussian with
@@ -50,11 +46,16 @@ def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> np.ndarra
     rounded to the nearest integer (half away from zero), so any ordering
     between the three can occur.  The latent end opens the infectious
     window, the symptom day may turn the course symptomatic, the end day
-    resolves it.
+    resolves it.  ``m + m * sigma_ii * z`` is the arithmetic of numpy's
+    ``normal(means, means * sigma_ii)``, so the array form's marks match.
     """
-    means = props[LATENT_END : DURATION + 1]
-    raw = rng.normal(means, means * sigma_ii)
-    return _round_half_up(np.maximum(raw, 0.0)).astype(np.int64)
+    zl, zs, ze = rng.normal(0.0, 1.0, 3).tolist()
+    ml, ms, me = props[LATENT_END : DURATION + 1].tolist()
+    return (
+        math.floor(max(ml + ml * sigma_ii * zl, 0.0) + 0.5),
+        math.floor(max(ms + ms * sigma_ii * zs, 0.0) + 0.5),
+        math.floor(max(me + me * sigma_ii * ze, 0.0) + 0.5),
+    )
 
 
 class World:
@@ -108,24 +109,24 @@ class World:
         counts = self.active_count[: self.registry.n_variants]
         return np.where(counts > 0)[0]
 
-    def _log(self, event: str, agent: int, variant: int, cluster: int):
+    def _log(self, event: str, agent: int, variant: int):
         if self.events is not None:
+            cluster = int(self.registry.variant_cluster[variant])
             self.events.append((self.step_index, event, agent, variant, cluster))
 
     # -- infection -----------------------------------------------------
 
     def _infect(self, agent: int, variant: int):
-        props = self.registry.props_matrix[variant]
-        marks = draw_course(props, self.params.course_sd_frac, self.rng)
+        marks = draw_course(self.registry._props[variant], self.params.course_sd_frac, self.rng)
         self.variant_of[agent] = variant
         self.counter[agent] = 0
-        self.latent_end[agent], self.symptom_day[agent], self.end_day[agent] = marks.tolist()
+        self.latent_end[agent], self.symptom_day[agent], self.end_day[agent] = marks
         self.symptomatic[agent] = _UNDETERMINED
         self.isolated[agent] = False
         self.ever_infected[agent] = True
         self.active_count[variant] += 1
         self.cum_infections += 1
-        self._log("infection", agent, variant, int(self.registry.variant_cluster[variant]))
+        self._log("infection", agent, variant)
 
     def try_infect(self, source_variant: int, target: int):
         """Infect ``target`` from a carrier of ``source_variant``.
@@ -137,7 +138,7 @@ class World:
         gains immunity to the new cluster with probability
         ``cross_immunity``.
         """
-        assert self.alive[target] and self.variant_of[target] < 0
+        assert self.alive.item(target) and self.variant_of.item(target) < 0
         p = self.params
         variant = source_variant
         new_cluster = -1
@@ -152,12 +153,11 @@ class World:
                 self.rng,
             )
             self.active_count = grown(self.active_count, self.registry.n_variants)
-            cluster = int(self.registry.variant_cluster[variant])
-            self._log("mutation", target, variant, cluster)
+            self._log("mutation", target, variant)
             if drift:
                 self.immune = grown(self.immune, self.registry.n_clusters, axis=1)
-                new_cluster = cluster
-                self._log("drift", target, variant, cluster)
+                new_cluster = int(self.registry.variant_cluster[variant])
+                self._log("drift", target, variant)
         self._infect(target, variant)
         if new_cluster >= 0:
             parent_cluster = self.registry.cluster_parents[new_cluster]
@@ -198,12 +198,11 @@ class World:
         clusters = self.registry.variant_cluster[source]
         open_target = self.variant_of[targets] < 0
         susceptible = ~self.immune[targets, clusters[:, None]]
-        hits = open_target & susceptible & (rolls < transmit[:, None])
-        for row, col in zip(*np.nonzero(hits)):
-            target = int(targets[row, col])
-            if self.variant_of[target] >= 0:
-                continue
-            self.try_infect(int(source[row]), target)
+        rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
+        variant_of = self.variant_of
+        for variant, target in zip(source[rows].tolist(), targets[rows, cols].tolist()):
+            if variant_of.item(target) < 0:
+                self.try_infect(variant, target)
 
     def progression_phase(self):
         """Advance every active infection by one day and fire due events.
@@ -239,21 +238,21 @@ class World:
         protected = self.immune[ending, : self.registry.n_clusters].any(axis=1)
         fatality = np.where(protected, fatality * (1.0 - self.params.cross_protection), fatality)
         dies = self.rng.uniform(size=ending.size) < fatality
-        for agent, died in zip(ending, dies):
-            agent = int(agent)
-            variant = int(self.variant_of[agent])
-            self.active_count[variant] -= 1
-            self.variant_of[agent] = _NO_INFECTION
-            self.isolated[agent] = False
-            if died:
-                self.alive[agent] = False
-                self.n_living -= 1
-                self.cum_deaths += 1
-                self._log("death", agent, variant, int(self.registry.variant_cluster[variant]))
-            else:
-                cluster = int(self.registry.variant_cluster[variant])
-                self.grant_immunity(agent, cluster)
-                self._log("recovery", agent, variant, cluster)
+        variants = self.variant_of[ending]
+        clusters = self.registry.variant_cluster[variants]
+        np.subtract.at(self.active_count, variants, 1)
+        self.variant_of[ending] = _NO_INFECTION
+        self.isolated[ending] = False
+        dead = ending[dies]
+        self.alive[dead] = False
+        self.n_living -= dead.size
+        self.cum_deaths += dead.size
+        survives = ~dies
+        for agent, cluster in zip(ending[survives].tolist(), clusters[survives].tolist()):
+            self.grant_immunity(agent, cluster)
+        if self.events is not None:  # no draws here: logging keeps the run's bytes
+            for agent, variant, died in zip(ending.tolist(), variants.tolist(), dies.tolist()):
+                self._log("death" if died else "recovery", agent, variant)
 
     def grant_immunity(self, agent: int, cluster: int):
         """Add ``cluster`` to the agent's immune set and propagate.
@@ -264,15 +263,15 @@ class World:
         ``cross_immunity``; a failed draw prunes that branch.
         """
         psi = self.params.cross_immunity
-        self.immune[agent, cluster] = True
+        row = self.immune[agent]
+        neighbors = self.registry.cluster_neighbors
+        bernoulli = self.rng.bernoulli
+        row[cluster] = True
         queue = deque([cluster])
         while queue:
-            current = queue.popleft()
-            for neighbor in self.registry.cluster_neighbors(current):
-                if self.immune[agent, neighbor]:
-                    continue
-                if self.rng.bernoulli(psi):
-                    self.immune[agent, neighbor] = True
+            for neighbor in neighbors(queue.popleft()):
+                if not row.item(neighbor) and bernoulli(psi):
+                    row[neighbor] = True
                     queue.append(neighbor)
 
     # -- driver ----------------------------------------------------------

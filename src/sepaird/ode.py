@@ -92,7 +92,7 @@ def _living(y) -> float:
 
 def derivative(y: np.ndarray, p: OdeParams) -> np.ndarray:
     """Time derivative of the seven compartments; components sum to zero."""
-    S, E, P, A, I, R, D = y
+    S, E, P, A, I, R, D = y.tolist()
     living = S + E + P + A + I + R  # not _living(y): four calls per RK4 step
     if living <= 0.0:
         raise OdeError("population extinct")

@@ -8,18 +8,26 @@ from sepaird.abm import init_world, run
 from sepaird.montecarlo import Scenario, collect_world_run
 from sepaird.params import ConfigError, SimParams
 from sepaird.rng import RngStream
+from sepaird.variants import DURATION, LATENT_END
 
 WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
 
 class PresetNormals:
-    """Stands in for RngStream when a test needs exact course draws."""
+    """Stands in for RngStream when a test needs exact course draws.
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
+    Takes the unrounded marks wanted from ``WILD`` at ``sigma`` and hands
+    ``draw_course`` the standard normals that produce exactly them.
+    """
+
+    def __init__(self, raw, sigma):
+        means = WILD[LATENT_END : DURATION + 1].tolist()
+        self.values = [(r - m) / (m * sigma) for r, m in zip(raw, means)]
+        assert [m + m * sigma * z for m, z in zip(means, self.values)] == raw
 
     def normal(self, loc, scale, size=None):
-        return self.values
+        assert (loc, scale, size) == (0.0, 1.0, 3)
+        return np.array(self.values)
 
 
 # -- course draws ----------------------------------------------------
@@ -27,25 +35,43 @@ class PresetNormals:
 
 def test_draw_course_zero_sd_hits_means():
     marks = abm.draw_course(WILD, 0.0, RngStream(1))
-    assert marks.dtype == np.int64
-    assert marks.tolist() == [4, 6, 8]
+    assert type(marks) is tuple and all(type(m) is int for m in marks)
+    assert marks == (4, 6, 8)
 
 
 def test_draw_course_truncates_and_rounds():
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([-1.0, 5.4, 8.5]))
-    assert marks.tolist() == [0, 5, 9]
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([-1.0, 5.4, 8.5], 0.1))
+    assert marks == (0, 5, 9)
 
 
 def test_draw_course_rounds_halves_away_from_zero():
     # banker's rounding would give (2, 6, 8) here
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([2.5, 6.5, 8.5]))
-    assert marks.tolist() == [3, 7, 9]
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([2.5, 6.5, 8.5], 0.1))
+    assert marks == (3, 7, 9)
 
 
 def test_draw_course_keeps_degenerate_order():
     # symptom day before the latent end stays as drawn; no reordering
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([5.0, 2.0, 4.0]))
-    assert marks.tolist() == [5, 2, 4]
+    marks = abm.draw_course(WILD, 0.1, PresetNormals([5.0, 2.0, 4.0], 0.1))
+    assert marks == (5, 2, 4)
+
+
+def test_draw_course_matches_array_formula():
+    # the scalar path must give the marks of numpy's array form and consume
+    # exactly the same draws, over random rows and spreads including 0
+    gen = np.random.default_rng(2024)
+    rows = np.zeros((20_000, WILD.size))
+    rows[:, LATENT_END : DURATION + 1] = gen.uniform(1e-3, 40.0, size=(20_000, 3))
+    # quarter-day means: with sigma 0 the halves must round away from zero
+    rows[::2, LATENT_END : DURATION + 1] = gen.integers(1, 160, size=(10_000, 3)) / 4
+    sigmas = gen.uniform(0.0, 3.0, 20_000)
+    sigmas[::7] = 0.0
+    old, new = RngStream(99), RngStream(99)
+    for row, sigma in zip(rows, sigmas):
+        means = row[LATENT_END : DURATION + 1]
+        expected = np.floor(np.maximum(old.normal(means, means * sigma), 0.0) + 0.5)
+        assert abm.draw_course(row, float(sigma), new) == tuple(expected.astype(np.int64).tolist())
+    assert old.uniform() == new.uniform()
 
 
 # -- world construction ----------------------------------------------
@@ -232,9 +258,7 @@ def test_no_reinfection_within_cluster():
 
 def test_immediate_resolution_course(tiny_params, monkeypatch):
     # a zero-length course resolves on the next progression without transmitting
-    monkeypatch.setattr(
-        abm, "draw_course", lambda v, s, rng: np.zeros(3, dtype=np.int64)
-    )
+    monkeypatch.setattr(abm, "draw_course", lambda v, s, rng: (0, 0, 0))
     w = init_world(tiny_params(n_initial_infected=8))
     w.step()
     assert w.n_infected == 0

@@ -57,6 +57,18 @@ def test_world_state_bytes_are_pinned(name):
     assert _sha256(w.state_bytes()) == digest, _pin_message(f"state of {name} run")
 
 
+def test_event_logging_keeps_state_bytes():
+    # deaths and recoveries are logged in a pass of their own; it must make
+    # no draw, so the logged run ends in the pinned state of the unlogged one
+    overrides, digest = WORLD_DIGESTS["high_mutation_drift"]
+    p = SimParams(n_agents=2000, horizon=200, seed=7, **overrides)
+    w = run(init_world(p, log_events=True))
+    assert _sha256(w.state_bytes()) == digest, _pin_message("state of logged run")
+    kinds = [event[1] for event in w.events]
+    assert kinds.count("infection") == w.cum_infections
+    assert kinds.count("death") == w.cum_deaths
+
+
 def test_bench_size_state_bytes_are_pinned():
     w = run(init_world(SimParams(seed=42)))
     assert _sha256(w.state_bytes()) == BENCH_SIZE_DIGEST, _pin_message("state of default 10k run")
