@@ -37,6 +37,8 @@ MANIFEST_DIGEST = "f1520670ef020fa6b0ef30005cb149e57bc6a0aff40ae94713c4210b9b186
 SVG_DIGEST = "7225ab0091639d0e54fabdfc0a55ed75887573454c71136ae36077034227302d"
 EVENTS_DIGEST = "4d2227ce4c18b631524ecfb671f78586c8e42bfd6e65785950c277f47fcaa35d"
 ODE_DIGEST = "ee726b6a6d0df8d450de39cb957ff77b42bf7ff8b6625db8b56d6c888af6df05"
+# every replication of this grid dies out inside the horizon (steps 15-139 of 150)
+SUBCRITICAL_DATASET_DIGEST = "86cf0169c03e2ccb9516cc4435768ee1ac1a4ab773284e8e0d225d7e19b72949"
 # default SimParams(seed=42): 10k agents, 500 steps, about 125k infections
 BENCH_SIZE_DIGEST = "83c2140371db46ed4e72706f283a670c39a76cdbd3e7d530140fbb8f2749221f"
 
@@ -122,3 +124,23 @@ def test_quantile_svg_is_pinned(tiny_sweep):
     rows = quantile_series(dataset, "share_infected")
     svg = render_quantile_lines(rows, "share_infected").encode("utf-8")
     assert _sha256(svg) == SVG_DIGEST, _pin_message("quantile SVG")
+
+
+def test_subcritical_sweep_is_pinned(tmp_path):
+    grid = SweepGrid(
+        base=SimParams(n_agents=500, seed=7),
+        mutation_probs=(0.0, 0.05),
+        cross_immunities=(0.9,),
+        cross_protections=(0.99,),
+        isolations=(False,),
+        distancings=(0.6, 0.8),
+        replications=4,
+        horizon=150,
+        base_seed=42,
+    )
+    dataset = sweep(grid)
+    extinct = [row.extinct for row in dataset.rows]
+    assert any(extinct) and not all(extinct)
+    write_dataset(dataset, tmp_path / "dataset.csv")
+    data = (tmp_path / "dataset.csv").read_bytes()
+    assert _sha256(data) == SUBCRITICAL_DATASET_DIGEST, _pin_message("subcritical dataset.csv")
