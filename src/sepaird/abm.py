@@ -7,9 +7,10 @@ a progression phase (counters advance, symptoms appear, courses resolve
 into death or recovery with recursive cross-immunity).
 
 Agent state is stored column-wise, one numpy array per fact; a course's
-three day marks are drawn as one tuple of ints.  A ``World`` is confined
-to a single execution context for its whole run; parallelism lives one
-level up, across independent replications.
+three day marks are drawn as one tuple of ints.  A world with no active
+infection is absorbing: its later steps only advance ``step_index``.  A
+``World`` is confined to a single execution context for its whole run;
+parallelism lives one level up, across independent replications.
 """
 
 from __future__ import annotations
@@ -277,8 +278,14 @@ class World:
     # -- driver ----------------------------------------------------------
 
     def step(self):
-        """Run one day: contacts, then progression, then bookkeeping."""
+        """Run one day: contacts, then progression, then bookkeeping.
+
+        A world with no active infection is absorbing: neither phase could
+        draw or change anything, so such a step only advances the clock.
+        """
         self.step_index += 1
+        if self.n_infected == 0:
+            return
         self.contact_phase()
         self.progression_phase()
         active = self.active_variants()

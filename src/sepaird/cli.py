@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 from .abm import init_world
 from .montecarlo import (
@@ -64,6 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes (default: SEPAIRD_JOBS or 1); never affects results",
+    )
+    p_sweep.add_argument(
+        "--progress",
+        action="store_true",
+        help="one stderr line per finished replication: done/total, rate and ETA",
     )
 
     p_ode = sub.add_parser("ode", help="deterministic compartmental trajectory CSV")
@@ -122,6 +128,23 @@ def _jobs_from(args) -> int:
         raise ConfigError(f"SEPAIRD_JOBS must be an integer, got {raw!r}") from None
 
 
+def _progress_reporter():
+    """A ``sweep`` progress callback that writes one stderr line per replication."""
+    start = time.monotonic()
+
+    def report(done: int, total: int) -> None:
+        rate = done / max(time.monotonic() - start, 1e-9)
+        eta = round((total - done) / rate)
+        print(
+            f"sweep: {done}/{total} replications, {rate:.3g}/s, "
+            f"ETA {eta // 3600}:{eta // 60 % 60:02d}:{eta % 60:02d}",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return report
+
+
 def _cmd_sweep(args) -> int:
     base = load_params(args.config)
     with open(args.grid, "r", encoding="utf-8") as fh:
@@ -129,7 +152,7 @@ def _cmd_sweep(args) -> int:
     jobs = _jobs_from(args)
     validate_sweep(grid, jobs)
     os.makedirs(args.out, exist_ok=True)
-    dataset = sweep(grid, jobs=jobs)
+    dataset = sweep(grid, jobs=jobs, progress=_progress_reporter() if args.progress else None)
     write_dataset(dataset, os.path.join(args.out, "dataset.csv"))
     write_manifest(grid, os.path.join(args.out, "manifest.csv"))
     return _EXIT_OK

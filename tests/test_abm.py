@@ -425,6 +425,21 @@ def test_world_state_after_extinction():
     assert len(w.last_active_variants) >= 1
 
 
+def test_step_on_extinct_world_only_advances_clock():
+    # seed 9 mutates, drifts once and dies out at step 24
+    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
+                  social_distancing=0.7, horizon=30, seed=9)
+    w, twin = run(init_world(p)), run(init_world(p))
+    assert w.n_infected == 0 and w.cum_drifts == 1
+    before = w.state_bytes()
+    for _ in range(5):
+        w.step()
+    after = w.state_bytes()
+    assert np.frombuffer(after[:8], dtype=np.int64)[0] == 35
+    assert after[8:] == before[8:]
+    assert w.rng.uniform(size=4).tolist() == twin.rng.uniform(size=4).tolist()
+
+
 def test_scenario_metric_row_fields(tiny_params):
     from sepaird.montecarlo import metric_row
 

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -168,6 +169,27 @@ def test_sweep_worker_count_never_changes_output(config, grid_file, tmp_path):
     assert main(["sweep", config, "--grid", grid_file, "--reps", "1",
                  "--out", str(duo), "--jobs", "2"]) == 0
     assert (solo / "dataset.csv").read_bytes() == (duo / "dataset.csv").read_bytes()
+    assert (solo / "manifest.csv").read_bytes() == (duo / "manifest.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_progress_reports_on_stderr_only(config, grid_file, tmp_path, capsys, jobs):
+    argv = ["sweep", config, "--grid", grid_file, "--reps", "2", "--jobs", jobs]
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(argv + ["--out", str(quiet)]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(argv + ["--out", str(loud), "--progress"]) == 0
+    reported = capsys.readouterr()
+    assert reported.out == plain.out
+    lines = reported.err.splitlines()
+    pattern = re.compile(r"sweep: (\d+)/8 replications, [0-9.e+]+/s, ETA \d+:\d\d:\d\d")
+    matches = [pattern.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    assert [int(m.group(1)) for m in matches] == list(range(1, 9))
+    assert lines[-1].endswith("ETA 0:00:00")
+    for name in ("dataset.csv", "manifest.csv"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
 
 def test_sweep_jobs_env_fallback(config, grid_file, tmp_path, monkeypatch):

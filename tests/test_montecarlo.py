@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from sepaird.abm import init_world, run
 from sepaird.montecarlo import (
     BOX_COLUMNS,
     CSV_COLUMNS,
@@ -15,7 +16,9 @@ from sepaird.montecarlo import (
     Scenario,
     SweepDataset,
     SweepGrid,
+    collect_world_run,
     grid_from_text,
+    metric_row,
     notched_box,
     quantile_series,
     read_boxes,
@@ -243,6 +246,20 @@ def test_sweep_progress_callback(mini_grid):
     sweep(dataclasses.replace(mini_grid, replications=1, horizon=3),
           progress=lambda done, total: ticks.append((done, total)))
     assert ticks == [(i, 4) for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("seed,extinct_at", [(2, None), (9, 24), (11, 40)])
+def test_collect_world_run_matches_observing_every_step(seed, extinct_at):
+    # seeds 9 and 11 mutate and drift before they die out; seed 2 survives
+    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
+                  social_distancing=0.7, horizon=80, seed=seed)
+    rows = collect_world_run(init_world(p), replication=3)
+    scenario, reference = Scenario.from_params(p), []
+    run(init_world(p), callback=lambda w: reference.append(metric_row(w, scenario, 3)))
+    assert rows == reference
+    extinct = [row.step for row in rows if row.extinct]
+    assert extinct[:1] == ([extinct_at] if extinct_at else [])
+    assert len(extinct) == (p.horizon - extinct_at + 1 if extinct_at else 0)
 
 
 def test_sweep_rows_reflect_scenario(mini_dataset):
