@@ -7,6 +7,8 @@ A change that alters these digests on purpose must say so and why.
 """
 
 import hashlib
+import os
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +43,23 @@ ODE_DIGEST = "ee726b6a6d0df8d450de39cb957ff77b42bf7ff8b6625db8b56d6c888af6df05"
 SUBCRITICAL_DATASET_DIGEST = "86cf0169c03e2ccb9516cc4435768ee1ac1a4ab773284e8e0d225d7e19b72949"
 # default SimParams(seed=42): 10k agents, 500 steps, about 125k infections
 BENCH_SIZE_DIGEST = "83c2140371db46ed4e72706f283a670c39a76cdbd3e7d530140fbb8f2749221f"
+# `sepaird analyze` output per (input, mode); the box step has outliers in both inputs
+ANALYZE_MODES = {
+    "quantiles": ["--metric", "cumulative_infected_share"],
+    "levels": ["--metric", "mortality", "--quantiles", "0.1,0.5,0.9"],
+    "boxes": ["--metric", "mortality", "--box-at", "150"],
+}
+ANALYZE_DIGESTS = {
+    ("demo", "quantiles"): "e634e5b6b99eba5f3aae76fe605876c3180e7018399fdc80db268be66730718f",
+    ("demo", "levels"): "0b1706444034431a274d4ce3332ed46c4b01daf04c7c91fc427a9c87f8884313",
+    ("demo", "boxes"): "66b0b55278e98583f797dd5eb44b64180a27d7c0674733cda8df0d7562394dbe",
+    ("ragged", "quantiles"): "bae82fa34e534c244fd422c23cffba8936608874b16ca936c7c1ed9c9775ee4f",
+    ("ragged", "levels"): "f3d2d110962d9e96b1049acde9e015eb84308eb04bb8546140d7bab6ec077c4a",
+    ("ragged", "boxes"): "764f53f1d82d0057ee90397237eec6be7facda8221523af2cde0e804f1645732",
+}
+DEMO_DATASET = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "output", "dataset.csv"
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -144,3 +163,26 @@ def test_subcritical_sweep_is_pinned(tmp_path):
     write_dataset(dataset, tmp_path / "dataset.csv")
     data = (tmp_path / "dataset.csv").read_bytes()
     assert _sha256(data) == SUBCRITICAL_DATASET_DIGEST, _pin_message("subcritical dataset.csv")
+
+
+def _ragged_copy(path) -> None:
+    """The demo dataset with a fifth of its rows deleted and the rest shuffled,
+    so aggregation groups hold 1 to 5 replications and arrive out of order."""
+    with open(DEMO_DATASET, "r", encoding="utf-8") as fh:
+        header, *body = fh.read().splitlines()
+    rng = random.Random(2021)
+    kept = [line for line in body if rng.random() >= 0.2]
+    rng.shuffle(kept)
+    path.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("source,mode", sorted(ANALYZE_DIGESTS))
+def test_analyze_csv_is_pinned(tmp_path, source, mode):
+    dataset = DEMO_DATASET
+    if source == "ragged":
+        dataset = tmp_path / "ragged.csv"
+        _ragged_copy(dataset)
+    out = tmp_path / "table.csv"
+    assert main(["analyze", str(dataset), *ANALYZE_MODES[mode], "--out", str(out)]) == 0
+    digest = _sha256(out.read_bytes())
+    assert digest == ANALYZE_DIGESTS[source, mode], _pin_message(f"analyze {mode} of {source}")
