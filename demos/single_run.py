@@ -49,7 +49,7 @@ def main():
 
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, "single_run.csv")
-    write_dataset(SweepDataset(rows=tuple(rows)), path)
+    write_dataset(SweepDataset.from_rows(rows), path)
     print(f"\nwrote {path}")
 
 

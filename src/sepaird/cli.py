@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
         p = dataclasses.replace(p, seed=args.seed)
     w = init_world(p, log_events=args.events is not None)
     rows = collect_world_run(w)
-    write_dataset(SweepDataset(rows=tuple(rows)), args.out)
+    write_dataset(SweepDataset.from_rows(rows), args.out)
     if args.events is not None:
         lines = ["step,event,agent,variant,cluster"]
         lines += [f"{s},{e},{a},{v},{c}" for s, e, a, v, c in w.events]

@@ -3,7 +3,7 @@
 A sweep expands a parameter grid into scenarios (cartesian product over
 mutation probability, the two cross-immunity strengths, isolation, and
 social distancing), runs every scenario for a fixed number of
-replications, and collects one MetricRow per simulation step.  Each
+replications, and collects one row of metrics per simulation step.  Each
 replication's seed is derived from the base seed and the scenario
 content, so results never depend on grid order, execution order, or the
 number of worker processes.
@@ -12,18 +12,27 @@ The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, ``CSV_COLUMNS`` the fields of ``MetricRow`` (which extends
 ``Scenario``), and ``METRIC_FIELDS`` a slice of them; the aggregation
 tables' columns are the scenario fields plus those of their row types.
+A dataset is one numpy structured array with a field per CSV column,
+typed float64, int64 or bool after the ``MetricRow`` field; its
+``MetricRow`` objects are built only on request.  Reading parses the CSV
+in one call and rejects a malformed line, or a non-finite scenario cell,
+with its line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
-statistics computed across replications.
+statistics computed across replications, grouped by one sort of the
+table.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
+import operator
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,6 +107,43 @@ class MetricRow(Scenario):
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 METRIC_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("step") + 1 : CSV_COLUMNS.index("extinct")]
+
+
+@dataclass(frozen=True)
+class QuantileRow:
+    scenario: Scenario
+    step: int
+    quantile: float
+    value: float
+
+
+@dataclass(frozen=True)
+class BoxStats:
+    scenario: Scenario
+    median: float
+    q1: float
+    q3: float
+    whisker_low: float
+    whisker_high: float
+    notch_low: float
+    notch_high: float
+    outliers: tuple
+
+
+def _table_columns(row_type) -> tuple:
+    """The scenario fields, then the fields of ``row_type`` after its scenario."""
+    return SCENARIO_FIELDS + tuple(f.name for f in dataclasses.fields(row_type))[1:]
+
+
+QUANTILE_COLUMNS = _table_columns(QuantileRow)
+BOX_COLUMNS = _table_columns(BoxStats)
+_BOX_STATS = BOX_COLUMNS[len(SCENARIO_FIELDS) : -1]
+
+
+# the type name of every column of the dataset and quantile tables
+_FIELD_TYPES = {
+    f.name: f.type for row_type in (MetricRow, QuantileRow) for f in dataclasses.fields(row_type)
+}
 
 
 def metric_row(w, scenario: Scenario, replication: int) -> MetricRow:
@@ -260,17 +306,42 @@ def _sweep_tasks(grid: SweepGrid):
 
 def _sweep_task(task):
     index, p, replication = task
-    return index, collect_world_run(init_world(p), replication)
+    return index, SweepDataset.from_rows(collect_world_run(init_world(p), replication)).table
 
 
-@dataclass(frozen=True)
+# numpy type of a dataclass field type, and the type its CSV cell is parsed
+# into first: a bool cell is read as text wider than "false", so that
+# "falsey" cannot be cut down to "false", and is then checked
+_NUMPY_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+_CELL_TYPES = {**_NUMPY_TYPES, "bool": "U6"}
+
+
+def _table_dtype(columns, types=_NUMPY_TYPES) -> np.dtype:
+    return np.dtype([(name, types[_FIELD_TYPES[name]]) for name in columns])
+
+
+DATASET_DTYPE = _table_dtype(CSV_COLUMNS)
+_row_values = operator.attrgetter(*CSV_COLUMNS)
+
+
+@dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """All metric rows of one sweep, in canonical order."""
+    """All metric rows of one sweep as one structured array, ``DATASET_DTYPE``."""
 
-    rows: tuple
+    table: np.ndarray
+
+    @staticmethod
+    def from_rows(rows) -> "SweepDataset":
+        return SweepDataset(np.array([_row_values(row) for row in rows], dtype=DATASET_DTYPE))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(MetricRow(*values) for values in self.table.tolist())
 
     def scenarios(self) -> list:
-        return list(dict.fromkeys(row.scenario for row in self.rows))
+        """The distinct scenarios in order of first appearance."""
+        cells = self.table[list(SCENARIO_FIELDS)].tolist()
+        return [Scenario(*values) for values in dict.fromkeys(cells)]
 
 
 def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
@@ -289,11 +360,11 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     """
     validate_sweep(grid, jobs)
     total = len(grid.scenarios()) * grid.replications
-    chunks = [None] * total
+    blocks = [None] * total
 
     def collect(results):
-        for done, (index, rows) in enumerate(results, start=1):
-            chunks[index] = rows
+        for done, (index, block) in enumerate(results, start=1):
+            blocks[index] = block
             if progress is not None:
                 progress(done, total)
 
@@ -302,7 +373,7 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
             collect(pool.imap_unordered(_sweep_task, _sweep_tasks(grid)))
-    return SweepDataset(rows=tuple(itertools.chain.from_iterable(chunks)))
+    return SweepDataset(np.concatenate(blocks))
 
 
 # -- serialization ----------------------------------------------------------
@@ -316,8 +387,8 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
-def _scenario_cells(scenario: Scenario) -> list:
-    return [_format_value(getattr(scenario, name)) for name in SCENARIO_FIELDS]
+def _scenario_cells(scenario: Scenario) -> tuple:
+    return tuple(_format_value(getattr(scenario, name)) for name in SCENARIO_FIELDS)
 
 
 def _write_table(path, columns, lines) -> None:
@@ -328,11 +399,25 @@ def _write_table(path, columns, lines) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+# rows formatted per block, so writing never holds every line of a large
+# dataset at once
+_WRITE_BLOCK = 1 << 16
+_CELL_FORMATS = {"float": repr, "int": str, "bool": ("false", "true").__getitem__}
+
+
 def write_dataset(ds: SweepDataset, path) -> None:
+    """Format the table column by column: ``repr`` for floats, ``str`` for
+    ints and ``true``/``false`` for bools, as ``_format_value`` does."""
+    formats = [_CELL_FORMATS[_FIELD_TYPES[name]] for name in CSV_COLUMNS]
+    table = ds.table
+    blocks = (table[start : start + _WRITE_BLOCK] for start in range(0, len(table), _WRITE_BLOCK))
     _write_table(
         path,
         CSV_COLUMNS,
-        ([_format_value(getattr(row, name)) for name in CSV_COLUMNS] for row in ds.rows),
+        itertools.chain.from_iterable(
+            zip(*(map(fmt, block[name].tolist()) for fmt, name in zip(formats, CSV_COLUMNS)))
+            for block in blocks
+        ),
     )
 
 
@@ -344,20 +429,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# One cell parser per dataset column, chosen by the MetricRow field's type.
-_PARSERS = tuple(
-    {"bool": _parse_bool, "int": int, "float": float}[f.type]
-    for f in dataclasses.fields(MetricRow)
-)
+def _read_header(fh, columns) -> None:
+    header = fh.readline().rstrip("\n")
+    if header.split(",") != list(columns):
+        raise DatasetError(f"table header mismatch: {header!r}")
 
 
 def _read_table(path, columns, parse) -> list:
     """``parse(cells)`` of every non-blank line under an exact ``columns`` header."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",") != list(columns):
-            raise DatasetError(f"table header mismatch: {header!r}")
+        _read_header(fh, columns)
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -372,8 +454,57 @@ def _read_table(path, columns, parse) -> list:
     return rows
 
 
-def _parse_metric_row(cells) -> MetricRow:
-    return MetricRow(*(parse(cell) for parse, cell in zip(_PARSERS, cells)))
+def _parse_lines(lines, columns, finite) -> np.ndarray:
+    """The CSV data ``lines`` as one table of ``columns``, in one C-level parse.
+
+    Blank lines are skipped.  Bool cells must read ``true`` or ``false``,
+    the float columns in ``finite`` must be finite, and scenario floats
+    read ``-0.0`` as ``0.0``.  Raises ValueError on the first violation.
+    """
+    with warnings.catch_warnings():
+        # a dataset may hold no rows
+        warnings.simplefilter("ignore", UserWarning)
+        cells = np.loadtxt(
+            lines, delimiter=",", comments=None, dtype=_table_dtype(columns, _CELL_TYPES), ndmin=1
+        )
+    table = np.empty(cells.shape, dtype=_table_dtype(columns))
+    for name in columns:
+        column = cells[name]
+        if _FIELD_TYPES[name] == "bool":
+            true = column == "true"
+            bad = ~(true | (column == "false"))
+            if bad.any():
+                raise ValueError(f"{name} is not true or false")
+            column = true
+        elif name in finite:
+            bad = ~np.isfinite(column)
+            if bad.any():
+                raise ValueError(f"non-finite {name} {float(column[bad][0])!r}")
+            if name in SCENARIO_FIELDS:
+                column = column + 0.0
+        table[name] = column
+    return table
+
+
+def _read_columns(path, columns, finite) -> np.ndarray:
+    """Every non-blank line under an exact ``columns`` header, parsed by
+    ``_parse_lines``; a rejected file is parsed again, line by line, only to
+    name the first line at fault."""
+    with open(path, "r", encoding="utf-8") as fh:
+        _read_header(fh, columns)
+        try:
+            return _parse_lines(fh, columns, finite)
+        except ValueError as exc:
+            error = exc
+        fh.seek(0)
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                _parse_lines([line], columns, finite)
+            except ValueError as exc:
+                # numpy's own position is within this one line
+                raise DatasetError(f"line {lineno}: {str(exc).partition(' at row ')[0]}") from None
+    raise DatasetError(f"bad table ({error})")
 
 
 def _finite(text: str) -> float:
@@ -385,8 +516,10 @@ def _finite(text: str) -> float:
 
 # Aggregation tables hold only finite numbers: their scenario floats come
 # from validated parameters and their statistics from finite groups.
+_SCENARIO_FLOATS = tuple(name for name in SCENARIO_FIELDS if _FIELD_TYPES[name] == "float")
 _SCENARIO_PARSERS = tuple(
-    _finite if parse is float else parse for parse in _PARSERS[: len(SCENARIO_FIELDS)]
+    {"bool": _parse_bool, "float": lambda text: _finite(text) + 0.0}[_FIELD_TYPES[name]]
+    for name in SCENARIO_FIELDS
 )
 
 
@@ -395,50 +528,55 @@ def _parse_scenario(cells) -> Scenario:
 
 
 def read_dataset(path) -> SweepDataset:
-    """Parse a dataset CSV, enforcing the exact fixed schema."""
-    return SweepDataset(rows=tuple(_read_table(path, CSV_COLUMNS, _parse_metric_row)))
+    """Parse a dataset CSV, enforcing the exact fixed schema and finite
+    scenario cells."""
+    return SweepDataset(_read_columns(path, CSV_COLUMNS, _SCENARIO_FLOATS))
 
 
 # -- aggregation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantileRow:
-    scenario: Scenario
-    step: int
-    quantile: float
-    value: float
+def _groups(table: np.ndarray, keys) -> tuple:
+    """The row order that sorts ``table`` by ``keys`` (stable, first key
+    first) and the sorted position at which each run of equal keys starts."""
+    order = np.lexsort([table[name] for name in reversed(keys)])
+    new_group = np.zeros(order.size, dtype=bool)
+    new_group[:1] = True
+    for name in keys:
+        column = table[name][order]
+        new_group[1:] |= column[1:] != column[:-1]
+    return order, np.flatnonzero(new_group)
 
 
-@dataclass(frozen=True)
-class BoxStats:
-    scenario: Scenario
-    median: float
-    q1: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    notch_low: float
-    notch_high: float
-    outliers: tuple
-
-
-def _metric_groups(ds: SweepDataset, metric: str):
+def _metric_values(table: np.ndarray, metric: str, order: np.ndarray) -> np.ndarray:
+    """``metric`` in ``order`` as floats; a nan or inf would corrupt its group's statistics."""
     if metric not in METRIC_FIELDS:
         raise DatasetError(f"unknown metric {metric!r}")
-    groups: dict = {}
-    for row in ds.rows:
-        per_step = groups.setdefault(row.scenario, {})
-        per_step.setdefault(row.step, []).append(float(getattr(row, metric)))
-    return groups
-
-
-def _group_values(per_step: dict, step: int, metric: str) -> np.ndarray:
-    """One aggregation group's values; a nan or inf would corrupt its statistics."""
-    values = np.asarray(per_step[step])
-    if not np.isfinite(values).all():
+    values = table[metric][order].astype(np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        step = table["step"][order[np.argmin(finite)]]
         raise DatasetError(f"non-finite {metric} value at step {step}")
     return values
+
+
+def _group_quantiles(values: np.ndarray, starts: np.ndarray, levels) -> np.ndarray:
+    """``levels`` of each group of sorted ``values``, one row per group start;
+    one ``np.quantile`` call per distinct group size."""
+    sizes = np.diff(starts, append=values.size)
+    out = np.empty((starts.size, len(levels)))
+    for size in np.unique(sizes):
+        groups = np.flatnonzero(sizes == size)
+        block = values[starts[groups, None] + np.arange(size)]
+        out[groups] = np.quantile(block, levels, axis=1, method="linear").T
+    return out
+
+
+def _group_scenarios(table: np.ndarray, rows) -> list:
+    """The scenario of each of ``rows``, one object per distinct scenario."""
+    cells = table[list(SCENARIO_FIELDS)][rows].tolist()
+    made = {key: Scenario(*key) for key in dict.fromkeys(cells)}
+    return [made[key] for key in cells]
 
 
 def quantile_series(
@@ -453,16 +591,20 @@ def quantile_series(
     for q in quantiles:
         if not 0.0 <= q <= 1.0:
             raise DatasetError(f"quantile {q} out of [0,1]")
-    groups = _metric_groups(ds, metric)
-    out = []
-    for scenario in sorted(groups):
-        per_step = groups[scenario]
-        for step in sorted(per_step):
-            values = _group_values(per_step, step, metric)
-            levels = np.quantile(values, np.asarray(quantiles), method="linear")
-            for q, value in zip(quantiles, levels):
-                out.append(QuantileRow(scenario, step, float(q), float(value)))
-    return out
+    table = ds.table
+    order, starts = _groups(table, SCENARIO_FIELDS + ("step",))
+    values = _metric_values(table, metric, order)
+    levels = [float(q) for q in quantiles]
+    firsts = order[starts]
+    return [
+        QuantileRow(scenario, step, q, value)
+        for scenario, step, row in zip(
+            _group_scenarios(table, firsts),
+            table["step"][firsts].tolist(),
+            _group_quantiles(values, starts, levels).tolist(),
+        )
+        for q, value in zip(levels, row)
+    ]
 
 
 def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
@@ -472,22 +614,25 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
     values beyond them are listed as outliers.  The notch half-width is
     1.58 IQR / sqrt(n).
     """
-    groups = _metric_groups(ds, metric)
+    table = ds.table
+    at_step = table[table["step"] == step]
+    order, starts = _groups(at_step, SCENARIO_FIELDS)
+    values = _metric_values(at_step, metric, order)
+    if starts.size < _groups(table, SCENARIO_FIELDS)[1].size:
+        raise DatasetError(f"no data at step {step}")
+    quartiles = _group_quantiles(values, starts, [0.25, 0.5, 0.75]).tolist()
     out = []
-    for scenario in sorted(groups):
-        per_step = groups[scenario]
-        if step not in per_step:
-            raise DatasetError(f"no data at step {step}")
-        values = _group_values(per_step, step, metric)
-        q1, median, q3 = (float(v) for v in np.quantile(values, [0.25, 0.5, 0.75]))
+    for scenario, group, (q1, median, q3) in zip(
+        _group_scenarios(at_step, order[starts]), np.split(values, starts[1:]), quartiles
+    ):
         iqr = q3 - q1
         low_fence = q1 - 1.5 * iqr
         high_fence = q3 + 1.5 * iqr
-        inside = values[(values >= low_fence) & (values <= high_fence)]
+        inside = group[(group >= low_fence) & (group <= high_fence)]
         whisker_low = float(inside.min())
         whisker_high = float(inside.max())
-        half_notch = 1.58 * iqr / np.sqrt(values.size)
-        outliers = values[(values < whisker_low) | (values > whisker_high)]
+        half_notch = 1.58 * iqr / np.sqrt(group.size)
+        outliers = group[(group < whisker_low) | (group > whisker_high)]
         out.append(
             BoxStats(
                 scenario=scenario,
@@ -498,55 +643,55 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
                 whisker_high=whisker_high,
                 notch_low=float(median - half_notch),
                 notch_high=float(median + half_notch),
-                outliers=tuple(sorted(float(v) for v in outliers)),
+                outliers=tuple(sorted(outliers.tolist())),
             )
         )
     return out
 
 
-def _table_columns(row_type) -> tuple:
-    """The scenario fields, then the fields of ``row_type`` after its scenario."""
-    return SCENARIO_FIELDS + tuple(f.name for f in dataclasses.fields(row_type))[1:]
-
-
-QUANTILE_COLUMNS = _table_columns(QuantileRow)
-BOX_COLUMNS = _table_columns(BoxStats)
-_BOX_STATS = BOX_COLUMNS[len(SCENARIO_FIELDS) : -1]
+def _table_scenario_cells():
+    """``_scenario_cells`` memoised for one aggregation table, whose rows
+    repeat a few scenarios; equal scenarios are one group there."""
+    return functools.lru_cache(maxsize=None)(_scenario_cells)
 
 
 def write_quantiles(rows: Sequence[QuantileRow], path) -> None:
+    scenario_cells = _table_scenario_cells()
     _write_table(
         path,
         QUANTILE_COLUMNS,
         (
-            _scenario_cells(row.scenario) + [str(row.step), repr(row.quantile), repr(row.value)]
+            (*scenario_cells(row.scenario), str(row.step), repr(row.quantile), repr(row.value))
             for row in rows
         ),
     )
 
 
 def write_boxes(rows: Sequence[BoxStats], path) -> None:
+    scenario_cells = _table_scenario_cells()
     _write_table(
         path,
         BOX_COLUMNS,
         (
-            _scenario_cells(row.scenario)
-            + [repr(getattr(row, name)) for name in _BOX_STATS]
-            + [";".join(repr(v) for v in row.outliers)]
+            (
+                *scenario_cells(row.scenario),
+                *(repr(getattr(row, name)) for name in _BOX_STATS),
+                ";".join(repr(v) for v in row.outliers),
+            )
             for row in rows
         ),
     )
 
 
 def read_quantiles(path) -> list:
-    n = len(SCENARIO_FIELDS)
-    return _read_table(
-        path,
-        QUANTILE_COLUMNS,
-        lambda cells: QuantileRow(
-            _parse_scenario(cells), int(cells[n]), _finite(cells[n + 1]), _finite(cells[n + 2])
-        ),
-    )
+    table = _read_columns(path, QUANTILE_COLUMNS, _SCENARIO_FLOATS + ("quantile", "value"))
+    scenarios = _group_scenarios(table, slice(None))
+    return [
+        QuantileRow(scenario, step, quantile, value)
+        for scenario, (step, quantile, value) in zip(
+            scenarios, table[["step", "quantile", "value"]].tolist()
+        )
+    ]
 
 
 def read_boxes(path) -> list:
@@ -568,8 +713,11 @@ def write_manifest(grid: SweepGrid, path) -> None:
         path,
         SCENARIO_FIELDS + ("replication", "seed"),
         (
-            _scenario_cells(scenario)
-            + [str(replication), str(replication_seed(grid.base_seed, scenario, replication))]
+            (
+                *_scenario_cells(scenario),
+                str(replication),
+                str(replication_seed(grid.base_seed, scenario, replication)),
+            )
             for scenario in grid.scenarios()
             for replication in range(grid.replications)
         ),

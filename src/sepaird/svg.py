@@ -169,10 +169,10 @@ def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
     """
     if not rows:
         raise DatasetError("no data")
-    scenarios = []
+    # scenario -> its ordinal in order of first appearance
+    ordinal: dict = {}
     for row in rows:
-        if row.scenario not in scenarios:
-            scenarios.append(row.scenario)
+        ordinal.setdefault(row.scenario, len(ordinal))
     steps = [row.step for row in rows]
     values = [row.value for row in rows]
     canvas = _Canvas(min(steps), max(steps), min(values), max(values))
@@ -181,7 +181,7 @@ def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
     _frame(parts, canvas, metric, "step", metric, x_ticks, _ticks(canvas.y_lo, canvas.y_hi))
     series: dict = {}
     for row in rows:
-        series.setdefault((scenarios.index(row.scenario), row.quantile), []).append(
+        series.setdefault((ordinal[row.scenario], row.quantile), []).append(
             (row.step, row.value)
         )
     for (scenario_idx, quantile) in sorted(series):
@@ -193,7 +193,7 @@ def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
         else:
             style = f'stroke="{color}" stroke-width="1" fill="none" stroke-dasharray="4 3" opacity="0.7"'
         parts.append(f'<polyline points="{coords}" {style}/>')
-    _legend(parts, _scenario_labels(scenarios))
+    _legend(parts, _scenario_labels(list(ordinal)))
     return _document(parts)
 
 

@@ -9,6 +9,9 @@ from sepaird.montecarlo import BOX_COLUMNS, CSV_COLUMNS, QUANTILE_COLUMNS, read_
 from sepaird.ode import MAX_STEPS
 from sepaird.params import SimParams, params_to_config
 
+DEMO_DATASET = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "output", "dataset.csv"
+)
 FAST = SimParams(n_agents=300, n_initial_infected=5, mutation_prob=0.05,
                  drift_prob=0.3, horizon=12, seed=3)
 
@@ -338,6 +341,24 @@ def test_analyze_rejects_non_finite_metric(dataset_file, tmp_path, capsys, value
     out = tmp_path / "x.csv"
     assert main(["analyze", bad, "--metric", "mortality", *extra, "--out", str(out)]) == 2
     assert "non-finite mortality value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_rejects_non_finite_scenario_cell(tmp_path, capsys, value):
+    # nan != nan, so each such row would be a one-replication group of its own
+    with open(DEMO_DATASET, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    column = CSV_COLUMNS.index("mutation_prob")
+    for i in range(7, len(lines), 7):
+        cells = lines[i].split(",")
+        cells[column] = value
+        lines[i] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["analyze", str(bad), "--metric", "mortality", "--out", str(out)]) == 2
+    assert "line 8: non-finite mutation_prob" in capsys.readouterr().err
     assert not out.exists()
 
 

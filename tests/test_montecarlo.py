@@ -10,6 +10,7 @@ from sepaird.abm import init_world, run
 from sepaird.montecarlo import (
     BOX_COLUMNS,
     CSV_COLUMNS,
+    DATASET_DTYPE,
     DatasetError,
     MetricRow,
     QUANTILE_COLUMNS,
@@ -31,6 +32,8 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
     write_quantiles,
+    _sweep_task,
+    _sweep_tasks,
 )
 from sepaird.params import ConfigError, SimParams
 
@@ -241,6 +244,14 @@ def test_sweep_workers_do_not_change_rows(mini_grid, mini_dataset):
     assert parallel.rows == mini_dataset.rows
 
 
+def test_sweep_task_returns_one_table_block(mini_grid):
+    # workers send numpy blocks, so no MetricRow is pickled across the pool
+    index, block = _sweep_task(next(_sweep_tasks(mini_grid)))
+    assert index == 0
+    assert block.dtype == DATASET_DTYPE
+    assert block["step"].tolist() == list(range(1, mini_grid.horizon + 1))
+
+
 def test_sweep_progress_callback(mini_grid):
     ticks = []
     sweep(dataclasses.replace(mini_grid, replications=1, horizon=3),
@@ -272,6 +283,17 @@ def test_sweep_rows_reflect_scenario(mini_dataset):
 
 def test_dataset_scenarios_listing(mini_grid, mini_dataset):
     assert mini_dataset.scenarios() == mini_grid.scenarios()
+
+
+def test_dataset_is_one_table_with_rows_as_a_view(mini_dataset):
+    table = mini_dataset.table
+    assert table.dtype.names == CSV_COLUMNS
+    assert [table.dtype[name] for name in ("mortality", "step", "extinct")] == [
+        np.float64, np.int64, np.bool_
+    ]
+    assert all(type(row) is MetricRow for row in mini_dataset.rows)
+    again = SweepDataset.from_rows(mini_dataset.rows)
+    assert again.table.tobytes() == table.tobytes()
 
 
 # -- dataset serialization -------------------------------------------------
@@ -334,6 +356,64 @@ def test_read_dataset_rejects_bad_cells(tmp_path, mini_dataset):
         read_dataset(path)
 
 
+def _cell_edit(column, text):
+    index = CSV_COLUMNS.index(column)
+    return lambda line: ",".join(
+        text if i == index else cell for i, cell in enumerate(line.split(","))
+    )
+
+
+# each edit breaks one data line in a way the row-wise reader also rejected,
+# except the non-finite scenario cells, which it let through
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _cell_edit("step", "1.0"),
+        _cell_edit("extinct", "falsey"),
+        _cell_edit("isolate_symptomatic", "perhaps"),
+        lambda line: "#" + line,
+        lambda line: line.rsplit(",", 1)[0],
+        lambda line: line + ",0",
+        _cell_edit("mutation_prob", "nan"),
+        _cell_edit("social_distancing", "-inf"),
+    ],
+    ids=["float-in-int", "falsey", "perhaps", "hash", "short", "long", "nan", "-inf"],
+)
+@pytest.mark.parametrize("blank_before", [False, True])
+def test_read_dataset_names_the_rejected_line(tmp_path, mini_dataset, edit, blank_before):
+    path = tmp_path / "dataset.csv"
+    write_dataset(mini_dataset, path)
+    lines = path.read_text().splitlines()
+    lines[4] = edit(lines[4])
+    if blank_before:
+        # skipped, but still counted
+        lines.insert(2, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"^line {6 if blank_before else 5}: "):
+        read_dataset(path)
+
+
+def test_read_dataset_reads_negative_zero_scenario_as_zero(tmp_path, mini_dataset):
+    # -0.0 == 0.0, so the rows are grouped with the 0.0 scenario; read as
+    # written, the sign would leak into that scenario's aggregation cells
+    path = tmp_path / "dataset.csv"
+    write_dataset(mini_dataset, path)
+    column = CSV_COLUMNS.index("social_distancing")
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines), 2):
+        cells = lines[i].split(",")
+        if cells[column] == "0.0":
+            cells[column] = "-0.0"
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    ds = read_dataset(path)
+    assert all(math.copysign(1.0, row.social_distancing) == 1.0 for row in ds.rows)
+    signed, plain = tmp_path / "signed.csv", tmp_path / "plain.csv"
+    write_quantiles(quantile_series(ds, "mortality"), signed)
+    write_quantiles(quantile_series(mini_dataset, "mortality"), plain)
+    assert signed.read_bytes() == plain.read_bytes()
+
+
 # -- aggregation ------------------------------------------------------------
 
 
@@ -342,7 +422,7 @@ def test_quantile_series_linear_interpolation():
         make_row(BASE_SCENARIO, rep, 1, mortality=float(rep + 1))
         for rep in range(100)
     ]
-    ds = SweepDataset(rows=tuple(rows))
+    ds = SweepDataset.from_rows(rows)
     got = quantile_series(ds, "mortality", (0.05, 0.5, 0.95))
     values = np.arange(1.0, 101.0)
     assert [q.quantile for q in got] == [0.05, 0.5, 0.95]
@@ -365,7 +445,7 @@ def test_quantile_series_orders_levels_pointwise(mini_dataset):
 def test_quantile_series_is_permutation_invariant(mini_dataset):
     shuffled = list(mini_dataset.rows)
     random.Random(99).shuffle(shuffled)
-    ds = SweepDataset(rows=tuple(shuffled))
+    ds = SweepDataset.from_rows(shuffled)
     assert quantile_series(ds, "mortality") == quantile_series(
         mini_dataset, "mortality"
     )
@@ -396,7 +476,7 @@ def test_notched_box_small_oracle():
     rows = [
         make_row(BASE_SCENARIO, rep, 7, mortality=v) for rep, v in enumerate(values)
     ]
-    ds = SweepDataset(rows=tuple(rows))
+    ds = SweepDataset.from_rows(rows)
     (box,) = notched_box(ds, "mortality", step=7)
     assert box.scenario == BASE_SCENARIO
     assert box.median == 3.0
@@ -444,7 +524,7 @@ def test_boxes_round_trip_with_outliers(tmp_path):
     rows = [
         make_row(BASE_SCENARIO, rep, 7, mortality=v) for rep, v in enumerate(values)
     ]
-    boxes = notched_box(SweepDataset(rows=tuple(rows)), "mortality", step=7)
+    boxes = notched_box(SweepDataset.from_rows(rows), "mortality", step=7)
     path = tmp_path / "boxes.csv"
     write_boxes(boxes, path)
     assert read_boxes(path) == boxes
