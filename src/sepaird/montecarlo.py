@@ -399,9 +399,9 @@ def _write_table(path, columns, lines) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-# rows formatted per block, so writing never holds every line of a large
-# dataset at once
-_WRITE_BLOCK = 1 << 16
+# rows formatted per block: a column formatted whole would hold one Python
+# object per cell of the dataset at once
+_WRITE_BLOCK = 4096
 _CELL_FORMATS = {"float": repr, "int": str, "bool": ("false", "true").__getitem__}
 
 

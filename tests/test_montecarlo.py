@@ -363,8 +363,7 @@ def _cell_edit(column, text):
     )
 
 
-# each edit breaks one data line in a way the row-wise reader also rejected,
-# except the non-finite scenario cells, which it let through
+# each edit breaks the data line at file line 5
 @pytest.mark.parametrize(
     "edit",
     [
@@ -449,6 +448,31 @@ def test_quantile_series_is_permutation_invariant(mini_dataset):
     assert quantile_series(ds, "mortality") == quantile_series(
         mini_dataset, "mortality"
     )
+
+
+def test_quantile_series_matches_per_group_quantiles(mini_dataset):
+    # groups of 1 to 4 replications, out of order: each group's levels equal
+    # a separate np.quantile call over its values
+    rng = random.Random(5)
+    rows = [
+        dataclasses.replace(row, replication=rep)
+        for row in mini_dataset.rows
+        for rep in range(2)
+        if rng.random() < 0.6
+    ]
+    rng.shuffle(rows)
+    levels = (0.1, 0.5, 0.9)
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.scenario, row.step), []).append(row.share_infected)
+    expected = [
+        (scenario, step, q, float(value))
+        for scenario, step in sorted(groups)
+        for q, value in zip(levels, np.quantile(groups[scenario, step], levels, method="linear"))
+    ]
+    got = quantile_series(SweepDataset.from_rows(rows), "share_infected", levels)
+    assert [(r.scenario, r.step, r.quantile, r.value) for r in got] == expected
+    assert {len(values) for values in groups.values()} == {1, 2, 3, 4}
 
 
 def test_quantile_series_rejects_bad_input(mini_dataset):
