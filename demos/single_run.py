@@ -23,8 +23,8 @@ def main():
     print(f"{p.n_agents} agents, {p.n_initial_infected} seeded infections, "
           f"mutation chance {p.mutation_prob:.0%} per transmission\n")
 
-    rows = collect_world_run(w)
-    for row in rows:
+    dataset = SweepDataset(collect_world_run(w))
+    for row in dataset.rows:
         if row.step % 50 == 0:
             print(f"  step {row.step:3d}: {row.share_infected:6.1%} infected, "
                   f"{row.active_variant_count:3d} active variants, "
@@ -49,7 +49,7 @@ def main():
 
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, "single_run.csv")
-    write_dataset(SweepDataset.from_rows(rows), path)
+    write_dataset(dataset, path)
     print(f"\nwrote {path}")
 
 

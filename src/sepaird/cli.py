@@ -109,8 +109,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         p = dataclasses.replace(p, seed=args.seed)
     w = init_world(p, log_events=args.events is not None)
-    rows = collect_world_run(w)
-    write_dataset(SweepDataset.from_rows(rows), args.out)
+    write_dataset(SweepDataset(collect_world_run(w)), args.out)
     if args.events is not None:
         lines = ["step,event,agent,variant,cluster"]
         lines += [f"{s},{e},{a},{v},{c}" for s, e, a, v, c in w.events]

@@ -8,6 +8,13 @@ replication's seed is derived from the base seed and the scenario
 content, so results never depend on grid order, execution order, or the
 number of worker processes.
 
+A replication fills its own block of the dataset table.  Its steps are
+observed up to the first extinct one, reusing the active-variant summary
+while the variant set it describes is unchanged; the frozen steps after
+extinction are filled at the end with copies of that row.  The writer
+formats the cells on either side of ``step`` once per run of rows whose
+bytes on that side are equal.
+
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, ``CSV_COLUMNS`` the fields of ``MetricRow`` (which extends
 ``Scenario``), and ``METRIC_FIELDS`` a slice of them; the aggregation
@@ -25,7 +32,6 @@ table.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -146,10 +152,11 @@ _FIELD_TYPES = {
 }
 
 
-def metric_row(w, scenario: Scenario, replication: int) -> MetricRow:
-    """Observe a world after a step and freeze the row."""
+def metric_row(w, scenario: Scenario, replication: int, memo: dict | None = None) -> MetricRow:
+    """Observe a world after a step and freeze the row; ``memo`` is passed
+    to ``active_variant_stats``."""
     n = w.params.n_agents
-    stats = active_variant_stats(w)
+    stats = active_variant_stats(w, memo)
     return MetricRow(
         **vars(scenario),
         replication=replication,
@@ -172,31 +179,35 @@ def metric_row(w, scenario: Scenario, replication: int) -> MetricRow:
     )
 
 
-def _stamped(row: MetricRow, step: int) -> MetricRow:
-    """``row`` at another step.  A shallow copy: ``dataclasses.replace`` re-runs
-    the frozen ``__init__`` over all 22 fields and takes 2.5 times as long."""
-    stamped = copy.copy(row)
-    object.__setattr__(stamped, "step", step)
-    return stamped
+def collect_world_run(w, replication: int = 0) -> np.ndarray:
+    """Advance a fresh world to its horizon: one ``DATASET_DTYPE`` row per step.
 
-
-def collect_world_run(w, replication: int = 0) -> list:
-    """Advance a fresh world to its horizon, one MetricRow per step.
-
-    An extinct world is frozen, so every row after the first extinct one
-    is that row stamped with its own ``step``, not observed again.
+    Steps are observed by ``metric_row``, which reuses the variant summary
+    while the variant set is unchanged, up to the first extinct row.  An
+    extinct world is frozen, so the rows after that one are filled once
+    the run has ended: copies of it, each with its own ``step``.
     """
     scenario = Scenario.from_params(w.params)
-    rows = []
+    first_step = w.step_index
+    block = np.empty(w.params.horizon - first_step, dtype=DATASET_DTYPE)
+    memo = {}
+    observed = 0
+    extinct = False
 
     def observe(world):
-        if rows and rows[-1].extinct:
-            rows.append(_stamped(rows[-1], world.step_index))
-        else:
-            rows.append(metric_row(world, scenario, replication))
+        nonlocal observed, extinct
+        if extinct:
+            return
+        row = metric_row(world, scenario, replication, memo)
+        block[observed] = _row_values(row)
+        observed += 1
+        extinct = row.extinct
 
     run(w, callback=observe)
-    return rows
+    if observed < block.size:
+        block[observed:] = block[observed - 1]
+        block["step"][observed:] = np.arange(first_step + observed + 1, first_step + block.size + 1)
+    return block
 
 
 # The sweep grid's value list for each scenario field, in field order.
@@ -306,7 +317,7 @@ def _sweep_tasks(grid: SweepGrid):
 
 def _sweep_task(task):
     index, p, replication = task
-    return index, SweepDataset.from_rows(collect_world_run(init_world(p), replication)).table
+    return index, collect_world_run(init_world(p), replication)
 
 
 # numpy type of a dataclass field type, and the type its CSV cell is parsed
@@ -403,22 +414,68 @@ def _write_table(path, columns, lines) -> None:
 # object per cell of the dataset at once
 _WRITE_BLOCK = 4096
 _CELL_FORMATS = {"float": repr, "int": str, "bool": ("false", "true").__getitem__}
+_STEP = CSV_COLUMNS.index("step")
+# the bytes of a dataset row before and after its step cell
+_BEFORE_STEP = slice(0, DATASET_DTYPE.fields["step"][1])
+_AFTER_STEP = slice(_BEFORE_STEP.stop + DATASET_DTYPE["step"].itemsize, DATASET_DTYPE.itemsize)
+
+
+def _joined_cells(rows: np.ndarray, columns) -> map:
+    """The cells of ``columns`` of each of ``rows``, formatted column by
+    column and joined by commas."""
+    formatted = (map(_CELL_FORMATS[_FIELD_TYPES[name]], rows[name].tolist()) for name in columns)
+    return map(",".join, zip(*formatted))
+
+
+def _new_runs(raw: np.ndarray, part: slice) -> np.ndarray:
+    """Whether each row of the byte matrix ``raw`` differs from the row
+    before it in the bytes ``part``; the first row always does."""
+    new = np.ones(len(raw), dtype=bool)
+    new[1:] = (raw[1:, part] != raw[:-1, part]).any(axis=1)
+    return new
+
+
+def _dataset_text(table: np.ndarray):
+    """The CSV lines of ``table``, one string per block of rows.
+
+    The cells before ``step`` are formatted once per run of rows whose
+    bytes before it are equal, as they are within a replication, and the
+    cells after it once per run equal after it, such as the rows of an
+    extinct replication.  Every row formats its own ``step``.
+    """
+    head = tail = None
+    for start in range(0, len(table), _WRITE_BLOCK):
+        # with the row before, against which the block's first row is compared
+        first = max(start - 1, 0)
+        rows = np.array(table[first : start + _WRITE_BLOCK], dtype=DATASET_DTYPE)
+        raw = rows.view(np.uint8).reshape(rows.size, DATASET_DTYPE.itemsize)
+        new_head = _new_runs(raw, _BEFORE_STEP)[start - first :]
+        new_tail = _new_runs(raw, _AFTER_STEP)[start - first :]
+        rows = rows[start - first :]
+        heads = [head, *_joined_cells(rows[new_head], CSV_COLUMNS[:_STEP])]
+        tails = [tail, *_joined_cells(rows[new_tail], CSV_COLUMNS[_STEP + 1 :])]
+        yield "".join(
+            [
+                f"{heads[h]},{step},{tails[t]}\n"
+                for h, t, step in zip(
+                    np.cumsum(new_head).tolist(), np.cumsum(new_tail).tolist(), rows["step"].tolist()
+                )
+            ]
+        )
+        head, tail = heads[-1], tails[-1]
 
 
 def write_dataset(ds: SweepDataset, path) -> None:
     """Format the table column by column: ``repr`` for floats, ``str`` for
-    ints and ``true``/``false`` for bools, as ``_format_value`` does."""
-    formats = [_CELL_FORMATS[_FIELD_TYPES[name]] for name in CSV_COLUMNS]
-    table = ds.table
-    blocks = (table[start : start + _WRITE_BLOCK] for start in range(0, len(table), _WRITE_BLOCK))
-    _write_table(
-        path,
-        CSV_COLUMNS,
-        itertools.chain.from_iterable(
-            zip(*(map(fmt, block[name].tolist()) for fmt, name in zip(formats, CSV_COLUMNS)))
-            for block in blocks
-        ),
-    )
+    ints and ``true``/``false`` for bools, as ``_format_value`` does.
+
+    A row equal in bytes to the row before it on one side of ``step``
+    reuses that row's cells on that side.  Bytes, not ``==``: a ``-0.0``
+    after a ``0.0`` is formatted again.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(_dataset_text(ds.table))
 
 
 def _parse_bool(text: str) -> bool:
@@ -486,13 +543,23 @@ def _parse_lines(lines, columns, finite) -> np.ndarray:
     return table
 
 
+def _holds_nul(path) -> bool:
+    """Whether the file holds a NUL.  No cell may: a text cell drops
+    trailing NULs, so ``true\\x00`` would parse as ``true``."""
+    with open(path, "rb") as fh:
+        # a NUL byte is a NUL character in UTF-8, and bytes search faster
+        return any(b"\x00" in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
+
+
 def _read_columns(path, columns, finite) -> np.ndarray:
     """Every non-blank line under an exact ``columns`` header, parsed by
     ``_parse_lines``; a rejected file is parsed again, line by line, only to
-    name the first line at fault."""
+    name the first line at fault.  A line that holds a NUL is rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(fh, columns)
         try:
+            if _holds_nul(path):
+                raise ValueError("NUL character")
             return _parse_lines(fh, columns, finite)
         except ValueError as exc:
             error = exc
@@ -500,6 +567,8 @@ def _read_columns(path, columns, finite) -> np.ndarray:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             try:
+                if "\x00" in line:
+                    raise ValueError("NUL character")
                 _parse_lines([line], columns, finite)
             except ValueError as exc:
                 # numpy's own position is within this one line

@@ -1,7 +1,8 @@
 """Tree distances and variant-level fitness metrics.
 
 Every function here is read-only over a Registry (or a World snapshot)
-and safe for concurrent use.
+and safe for concurrent use; ``active_variant_stats`` writes only to the
+memo it is given.
 """
 
 from __future__ import annotations
@@ -142,15 +143,30 @@ def summarize_variants(
     )
 
 
-def active_variant_stats(w) -> ActiveVariantSummary:
+def active_variant_stats(w, memo: dict | None = None) -> ActiveVariantSummary:
     """Summary over variants with a live infection right now.
 
     After extinction the snapshot of the last non-empty active set is
     used instead, so the summary always describes the epidemic's final
     surviving strains.
+
+    ``memo``, a dict kept for one world across its steps, holds the last
+    summary under the variant ids, the extinct flag and the cluster count
+    it was made from, and returns it again while all three are unchanged.
+    Nothing else a summary reads can change: property rows and depths are
+    never rewritten.
     """
     ids = w.active_variants()
     extinct = ids.size == 0
     if extinct:
         ids = np.asarray(w.last_active_variants, dtype=np.int64)
-    return summarize_variants(w.registry, ids, w.params.daily_contacts, extinct)
+    if memo is None:
+        return summarize_variants(w.registry, ids, w.params.daily_contacts, extinct)
+    key = (ids.tobytes(), extinct, w.registry.n_clusters)
+    summary = memo.get(key)
+    if summary is None:
+        memo.clear()
+        summary = memo[key] = summarize_variants(
+            w.registry, ids, w.params.daily_contacts, extinct
+        )
+    return summary

@@ -405,7 +405,7 @@ def test_equal_seeds_equal_metric_rows(tiny_params):
     p = tiny_params(mutation_prob=0.1, horizon=30)
     rows_a = collect_world_run(init_world(p))
     rows_b = collect_world_run(init_world(p))
-    assert rows_a == rows_b
+    assert rows_a.tobytes() == rows_b.tobytes()
 
 
 def test_different_seed_diverges(tiny_params):

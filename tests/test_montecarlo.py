@@ -32,6 +32,7 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
     write_quantiles,
+    _format_value,
     _sweep_task,
     _sweep_tasks,
 )
@@ -264,13 +265,39 @@ def test_collect_world_run_matches_observing_every_step(seed, extinct_at):
     # seeds 9 and 11 mutate and drift before they die out; seed 2 survives
     p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
                   social_distancing=0.7, horizon=80, seed=seed)
-    rows = collect_world_run(init_world(p), replication=3)
+    block = collect_world_run(init_world(p), replication=3)
+    # no memo: the reference summarises the variants afresh at every step
     scenario, reference = Scenario.from_params(p), []
     run(init_world(p), callback=lambda w: reference.append(metric_row(w, scenario, 3)))
-    assert rows == reference
-    extinct = [row.step for row in rows if row.extinct]
+    assert block.dtype == DATASET_DTYPE
+    assert block.tobytes() == SweepDataset.from_rows(reference).table.tobytes()
+    extinct = block["step"][block["extinct"]].tolist()
     assert extinct[:1] == ([extinct_at] if extinct_at else [])
     assert len(extinct) == (p.horizon - extinct_at + 1 if extinct_at else 0)
+
+
+def test_collect_world_run_refreshes_the_summary_when_only_a_cluster_opens():
+    # seed 22: at step 3 a drifted mutant's course ends in the step it began,
+    # so the active set is the same as at step 2 while a cluster has opened
+    p = SimParams(n_agents=300, n_initial_infected=5, mutation_prob=0.5, drift_prob=0.5,
+                  course_sd_frac=0.5, social_distancing=0.5, horizon=6, seed=22)
+    seen = []
+    run(init_world(p), callback=lambda w: seen.append(
+        (w.active_variants().tolist(), w.registry.n_clusters)))
+    assert seen[1] == ([0], 1) and seen[2] == ([0], 2)
+    block = collect_world_run(init_world(p))
+    assert block["max_antigenic_distance"][:3].tolist() == [0, 0, 1]
+    scenario = Scenario.from_params(p)
+    reference = []
+    run(init_world(p), callback=lambda w: reference.append(metric_row(w, scenario, 0)))
+    assert block.tobytes() == SweepDataset.from_rows(reference).table.tobytes()
+
+
+def test_collect_world_run_of_a_world_at_its_horizon_is_empty():
+    p = SimParams(n_agents=100, horizon=3, seed=1)
+    w = run(init_world(p))
+    block = collect_world_run(w)
+    assert block.dtype == DATASET_DTYPE and block.size == 0
 
 
 def test_sweep_rows_reflect_scenario(mini_dataset):
@@ -327,6 +354,48 @@ def test_dataset_write_is_byte_stable(tmp_path, mini_dataset):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _reference_csv(table) -> str:
+    """The dataset CSV of ``table``, every cell formatted on its own."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(_format_value(cell) for cell in row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_dataset_matches_formatting_every_cell(tmp_path):
+    other = dataclasses.replace(BASE_SCENARIO, social_distancing=0.4)
+    rows = [make_row(BASE_SCENARIO, 0, step, mortality=0.25) for step in range(1, 6)]
+    # equal to the row before under ==, not in bytes
+    rows.append(make_row(BASE_SCENARIO, 0, 6, mortality=0.25, mean_r0=-0.0))
+    rows.append(make_row(BASE_SCENARIO, 0, 7, mortality=0.25, mean_r0=0.0))
+    rows += [make_row(BASE_SCENARIO, 0, step, mean_r0=math.nan) for step in (8, 9, 10)]
+    rows.append(make_row(BASE_SCENARIO, 1, 10, mean_r0=math.nan))  # replication only
+    rows.append(make_row(other, 1, 10, mean_r0=math.nan))  # one scenario cell only
+    rows.append(make_row(other, 1, 11, mean_r0=math.nan, extinct=True))
+    # a run of repeats across the edge of the first block of rows written,
+    # then one that ends right before the edge of the second
+    rows += [make_row(other, 2, step, share_infected=0.5) for step in range(1, 4200)]
+    rows += [make_row(other, 2, step, mean_fatality=1e-300) for step in range(4200, 8180)]
+    assert len(rows) == 2 * 4096
+    rows.append(make_row(other, 3, 1, mean_fatality=1e-300))
+    table = SweepDataset.from_rows(rows).table
+    assert np.isnan(table["mean_r0"]).sum() == 6
+    path = tmp_path / "dataset.csv"
+    write_dataset(SweepDataset(table), path)
+    assert path.read_text() == _reference_csv(table)
+    lines = path.read_text().splitlines()
+    assert lines[6].split(",")[CSV_COLUMNS.index("mean_r0")] == "-0.0"
+    assert lines[7].split(",")[CSV_COLUMNS.index("mean_r0")] == "0.0"
+
+
+def test_write_dataset_of_a_sweep_matches_formatting_every_cell(tmp_path, mini_dataset):
+    path = tmp_path / "dataset.csv"
+    write_dataset(mini_dataset, path)
+    assert path.read_text() == _reference_csv(mini_dataset.table)
+    empty = tmp_path / "empty.csv"
+    write_dataset(SweepDataset(mini_dataset.table[:0]), empty)
+    assert empty.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
 def test_read_dataset_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")
@@ -375,8 +444,14 @@ def _cell_edit(column, text):
         lambda line: line + ",0",
         _cell_edit("mutation_prob", "nan"),
         _cell_edit("social_distancing", "-inf"),
+        # a text field would drop these trailing NULs
+        _cell_edit("extinct", "true\x00"),
+        _cell_edit("isolate_symptomatic", "false\x00\x00"),
     ],
-    ids=["float-in-int", "falsey", "perhaps", "hash", "short", "long", "nan", "-inf"],
+    ids=[
+        "float-in-int", "falsey", "perhaps", "hash", "short", "long", "nan", "-inf",
+        "true-nul", "false-nuls",
+    ],
 )
 @pytest.mark.parametrize("blank_before", [False, True])
 def test_read_dataset_names_the_rejected_line(tmp_path, mini_dataset, edit, blank_before):

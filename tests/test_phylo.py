@@ -227,3 +227,21 @@ def test_active_stats_track_current_variants(tiny_params):
     assert s.n_variants == 2
     assert s.mean_phylo_depth == pytest.approx(0.5)
     assert s.max_antigenic_distance == 1
+
+
+def test_active_stats_memo_reuses_a_summary_while_its_inputs_hold(tiny_params):
+    w = init_world(tiny_params())
+    memo = {}
+    first = active_variant_stats(w, memo)
+    assert active_variant_stats(w, memo) is first
+    # a drift whose mutant left the active set in the step it was born
+    w.registry.add_cluster(0)
+    drifted = active_variant_stats(w, memo)
+    assert drifted.max_antigenic_distance == 1 and first.max_antigenic_distance == 0
+    assert drifted == active_variant_stats(w)
+    # the last infection ends: the same ids now stand for the last survivors
+    w.active_count[:] = 0
+    extinct = active_variant_stats(w, memo)
+    assert extinct.extinct and not drifted.extinct
+    assert extinct == active_variant_stats(w)
+    assert len(memo) == 1
