@@ -8,12 +8,11 @@ replication's seed is derived from the base seed and the scenario
 content, so results never depend on grid order, execution order, or the
 number of worker processes.
 
-A replication fills its own block of the dataset table.  Its steps are
-observed up to the first extinct one, reusing the active-variant summary
-while the variant set it describes is unchanged; the frozen steps after
-extinction are filled at the end with copies of that row.  The writer
-formats the cells on either side of ``step`` once per run of rows whose
-bytes on that side are equal.
+A replication fills its own block of the dataset table.  ``metric_row``
+observes its steps up to the first extinct one, returning each row's
+values in column order and reusing the active-variant summary while the
+variant set it describes is unchanged; the frozen steps after extinction
+are filled at the end with copies of that row.
 
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, ``CSV_COLUMNS`` the fields of ``MetricRow`` (which extends
@@ -21,9 +20,16 @@ The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 tables' columns are the scenario fields plus those of their row types.
 A dataset is one numpy structured array with a field per CSV column,
 typed float64, int64 or bool after the ``MetricRow`` field; its
-``MetricRow`` objects are built only on request.  Reading parses the CSV
-in one call and rejects a malformed line, or a non-finite scenario cell,
-with its line number.
+``MetricRow`` objects are built only on request.
+
+Every CSV is spelled by one table, ``_CELL_FORMATS``, keyed by field
+type; scenario cells are coerced by type first, so scenarios that compare
+equal are spelled, keyed and seeded alike.  One writer, ``_write_table``,
+writes a header and then text; the dataset's text formats the cells on
+either side of ``step`` once per run of rows whose bytes on that side are
+equal.  One reader, ``_read_columns``, parses a CSV in one call and
+rejects a malformed line, a non-finite required cell or outlier, with its
+line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -35,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 import multiprocessing
 import operator
 import warnings
@@ -70,7 +75,7 @@ class Scenario:
     def key(self) -> str:
         """Canonical scenario string; replication seeds hash this, so the
         format is load-bearing and must stay stable."""
-        cells = _scenario_cells(self)
+        cells = _scenario_text(self).split(",")
         return ",".join(f"{name}={text}" for name, text in zip(SCENARIO_FIELDS, cells))
 
     def apply(self, base: SimParams) -> SimParams:
@@ -143,39 +148,42 @@ def _table_columns(row_type) -> tuple:
 
 QUANTILE_COLUMNS = _table_columns(QuantileRow)
 BOX_COLUMNS = _table_columns(BoxStats)
-_BOX_STATS = BOX_COLUMNS[len(SCENARIO_FIELDS) : -1]
 
 
-# the type name of every column of the dataset and quantile tables
+# the type name of every column of the four tables; a manifest seed can
+# reach 2**64 - 1, so it is formatted from a Python int, never read
 _FIELD_TYPES = {
-    f.name: f.type for row_type in (MetricRow, QuantileRow) for f in dataclasses.fields(row_type)
+    **{f.name: f.type for t in (MetricRow, QuantileRow, BoxStats) for f in dataclasses.fields(t)},
+    "seed": "int",
 }
+_SCENARIO_FLOATS = tuple(name for name in SCENARIO_FIELDS if _FIELD_TYPES[name] == "float")
+_scenario_values = operator.attrgetter(*SCENARIO_FIELDS)
 
 
-def metric_row(w, scenario: Scenario, replication: int, memo: dict | None = None) -> MetricRow:
-    """Observe a world after a step and freeze the row; ``memo`` is passed
-    to ``active_variant_stats``."""
+def metric_row(w, replication: int, memo: dict | None = None) -> tuple:
+    """Observe a world after a step: the values of its row, in
+    ``CSV_COLUMNS`` order.  ``memo`` is passed to ``active_variant_stats``."""
     n = w.params.n_agents
     stats = active_variant_stats(w, memo)
-    return MetricRow(
-        **vars(scenario),
-        replication=replication,
-        step=w.step_index,
-        share_infected=w.n_infected / n,
-        mortality=w.cum_deaths / n,
-        cumulative_infected_share=int(w.ever_infected.sum()) / n,
-        mean_r0=stats.mean_r0,
-        mean_adapted_ratio=stats.mean_adapted_ratio,
-        max_antigenic_distance=stats.max_antigenic_distance,
-        mean_phylo_distance=stats.mean_phylo_depth,
-        mean_infectiousness=stats.mean_infectiousness,
-        mean_latent_end=stats.mean_latent_end,
-        mean_incubation_end=stats.mean_incubation_end,
-        mean_duration=stats.mean_duration,
-        mean_symptomatic_chance=stats.mean_symptomatic_chance,
-        mean_fatality=stats.mean_fatality,
-        active_variant_count=stats.n_variants if not stats.extinct else 0,
-        extinct=w.n_infected == 0,
+    return (
+        *_scenario_values(w.params),
+        replication,
+        w.step_index,
+        w.n_infected / n,
+        w.cum_deaths / n,
+        int(w.ever_infected.sum()) / n,
+        stats.mean_r0,
+        stats.mean_adapted_ratio,
+        stats.max_antigenic_distance,
+        stats.mean_phylo_depth,
+        stats.mean_infectiousness,
+        stats.mean_latent_end,
+        stats.mean_incubation_end,
+        stats.mean_duration,
+        stats.mean_symptomatic_chance,
+        stats.mean_fatality,
+        stats.n_variants if not stats.extinct else 0,
+        w.n_infected == 0,
     )
 
 
@@ -187,7 +195,6 @@ def collect_world_run(w, replication: int = 0) -> np.ndarray:
     extinct world is frozen, so the rows after that one are filled once
     the run has ended: copies of it, each with its own ``step``.
     """
-    scenario = Scenario.from_params(w.params)
     first_step = w.step_index
     block = np.empty(w.params.horizon - first_step, dtype=DATASET_DTYPE)
     memo = {}
@@ -198,10 +205,10 @@ def collect_world_run(w, replication: int = 0) -> np.ndarray:
         nonlocal observed, extinct
         if extinct:
             return
-        row = metric_row(world, scenario, replication, memo)
-        block[observed] = _row_values(row)
+        row = metric_row(world, replication, memo)
+        block[observed] = row
         observed += 1
-        extinct = row.extinct
+        extinct = row[-1]
 
     run(w, callback=observe)
     if observed < block.size:
@@ -322,8 +329,9 @@ def _sweep_task(task):
 
 # numpy type of a dataclass field type, and the type its CSV cell is parsed
 # into first: a bool cell is read as text wider than "false", so that
-# "falsey" cannot be cut down to "false", and is then checked
-_NUMPY_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+# "falsey" cannot be cut down to "false", and is then checked; an outliers
+# cell is read as text and split
+_NUMPY_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_, "tuple": object}
 _CELL_TYPES = {**_NUMPY_TYPES, "bool": "U6"}
 
 
@@ -390,30 +398,50 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
 # -- serialization ----------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# the spelling of a cell of each field type, from its Python value
+_CELL_FORMATS = {
+    "float": repr,
+    "int": str,
+    "bool": ("false", "true").__getitem__,
+    "tuple": lambda values: ";".join(map(repr, values)),
+}
+# a scenario value is coerced by its type before it is spelled, so that
+# scenarios that compare equal (0, -0.0 and 0.0; 1, np.bool_(True) and
+# True) are spelled, keyed and seeded alike; a dataset reads -0.0 as 0.0
+_SCENARIO_COERCIONS = {"float": lambda value: float(value) + 0.0, "bool": bool}
 
 
-def _scenario_cells(scenario: Scenario) -> tuple:
-    return tuple(_format_value(getattr(scenario, name)) for name in SCENARIO_FIELDS)
+def _scenario_text(scenario: Scenario) -> str:
+    """The scenario's cells, joined by commas."""
+    kinds = (_FIELD_TYPES[name] for name in SCENARIO_FIELDS)
+    return ",".join(
+        _CELL_FORMATS[kind](_SCENARIO_COERCIONS[kind](value))
+        for kind, value in zip(kinds, _scenario_values(scenario))
+    )
 
 
-def _write_table(path, columns, lines) -> None:
-    """Write a header of ``columns``, then one line per sequence of cells."""
+def _scenario_lines(columns, scenarios, *values):
+    """One CSV line per scenario of ``scenarios``: its cells, then the value
+    at the same position in each of ``values``, spelled by the type of its
+    column in ``columns``.  Formatted column by column: a tuple per row,
+    held for the whole table, would cost garbage-collector passes."""
+    formats = [_CELL_FORMATS[_FIELD_TYPES[name]] for name in columns[len(SCENARIO_FIELDS) :]]
+    cells = (map(spell, column) for spell, column in zip(formats, values))
+    # a table repeats a few scenarios, and equal scenarios are spelled alike
+    text = functools.lru_cache(maxsize=None)(_scenario_text)
+    return (",".join(line) + "\n" for line in zip(map(text, scenarios), *cells))
+
+
+def _write_table(path, columns, text) -> None:
+    """Write a header of ``columns``, then the strings of ``text``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for cells in lines:
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(text)
 
 
 # rows formatted per block: a column formatted whole would hold one Python
 # object per cell of the dataset at once
 _WRITE_BLOCK = 4096
-_CELL_FORMATS = {"float": repr, "int": str, "bool": ("false", "true").__getitem__}
 _STEP = CSV_COLUMNS.index("step")
 # the bytes of a dataset row before and after its step cell
 _BEFORE_STEP = slice(0, DATASET_DTYPE.fields["step"][1])
@@ -448,6 +476,9 @@ def _dataset_text(table: np.ndarray):
         # with the row before, against which the block's first row is compared
         first = max(start - 1, 0)
         rows = np.array(table[first : start + _WRITE_BLOCK], dtype=DATASET_DTYPE)
+        for name in _SCENARIO_FLOATS:
+            # -0.0 as 0.0, as ``_scenario_text`` spells it
+            rows[name] += 0.0
         raw = rows.view(np.uint8).reshape(rows.size, DATASET_DTYPE.itemsize)
         new_head = _new_runs(raw, _BEFORE_STEP)[start - first :]
         new_tail = _new_runs(raw, _AFTER_STEP)[start - first :]
@@ -466,24 +497,13 @@ def _dataset_text(table: np.ndarray):
 
 
 def write_dataset(ds: SweepDataset, path) -> None:
-    """Format the table column by column: ``repr`` for floats, ``str`` for
-    ints and ``true``/``false`` for bools, as ``_format_value`` does.
+    """Format the table column by column, each cell by ``_CELL_FORMATS``.
 
     A row equal in bytes to the row before it on one side of ``step``
     reuses that row's cells on that side.  Bytes, not ``==``: a ``-0.0``
     after a ``0.0`` is formatted again.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_dataset_text(ds.table))
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(text)
+    _write_table(path, CSV_COLUMNS, _dataset_text(ds.table))
 
 
 def _read_header(fh, columns) -> None:
@@ -492,51 +512,43 @@ def _read_header(fh, columns) -> None:
         raise DatasetError(f"table header mismatch: {header!r}")
 
 
-def _read_table(path, columns, parse) -> list:
-    """``parse(cells)`` of every non-blank line under an exact ``columns`` header."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        _read_header(fh, columns)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise DatasetError(f"line {lineno}: expected {len(columns)} cells")
-            try:
-                rows.append(parse(cells))
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: bad cell value {exc}") from exc
-    return rows
+def _loadtxt(lines, dtype) -> np.ndarray:
+    """One ``dtype`` row per non-blank line of ``lines``, by numpy's C parser."""
+    with warnings.catch_warnings():
+        # a table may hold no rows, and an outliers cell no values
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
 
 
 def _parse_lines(lines, columns, finite) -> np.ndarray:
     """The CSV data ``lines`` as one table of ``columns``, in one C-level parse.
 
     Blank lines are skipped.  Bool cells must read ``true`` or ``false``,
-    the float columns in ``finite`` must be finite, and scenario floats
-    read ``-0.0`` as ``0.0``.  Raises ValueError on the first violation.
+    an outliers cell is split into a tuple of floats, the float and tuple
+    columns in ``finite`` must be finite, and scenario floats read ``-0.0``
+    as ``0.0``.  Raises ValueError on the first violation.
     """
-    with warnings.catch_warnings():
-        # a dataset may hold no rows
-        warnings.simplefilter("ignore", UserWarning)
-        cells = np.loadtxt(
-            lines, delimiter=",", comments=None, dtype=_table_dtype(columns, _CELL_TYPES), ndmin=1
-        )
+    cells = _loadtxt(lines, _table_dtype(columns, _CELL_TYPES))
     table = np.empty(cells.shape, dtype=_table_dtype(columns))
     for name in columns:
-        column = cells[name]
-        if _FIELD_TYPES[name] == "bool":
+        column = values = cells[name]
+        kind = _FIELD_TYPES[name]
+        if kind == "bool":
             true = column == "true"
-            bad = ~(true | (column == "false"))
-            if bad.any():
+            if not (true | (column == "false")).all():
                 raise ValueError(f"{name} is not true or false")
             column = true
-        elif name in finite:
-            bad = ~np.isfinite(column)
+        elif kind == "tuple":
+            # ``;``-joined floats, parsed as float cells are; empty pieces are skipped
+            pieces = [_loadtxt(text.split(";"), np.float64) for text in column.tolist()]
+            values = np.concatenate([np.empty(0), *pieces])
+            column = np.fromiter(
+                (tuple(p.tolist()) for p in pieces), dtype=object, count=len(pieces)
+            )
+        if name in finite:
+            bad = ~np.isfinite(values)
             if bad.any():
-                raise ValueError(f"non-finite {name} {float(column[bad][0])!r}")
+                raise ValueError(f"non-finite {name} {float(values[bad][0])!r}")
             if name in SCENARIO_FIELDS:
                 column = column + 0.0
         table[name] = column
@@ -574,26 +586,6 @@ def _read_columns(path, columns, finite) -> np.ndarray:
                 # numpy's own position is within this one line
                 raise DatasetError(f"line {lineno}: {str(exc).partition(' at row ')[0]}") from None
     raise DatasetError(f"bad table ({error})")
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {text!r}")
-    return value
-
-
-# Aggregation tables hold only finite numbers: their scenario floats come
-# from validated parameters and their statistics from finite groups.
-_SCENARIO_FLOATS = tuple(name for name in SCENARIO_FIELDS if _FIELD_TYPES[name] == "float")
-_SCENARIO_PARSERS = tuple(
-    {"bool": _parse_bool, "float": lambda text: _finite(text) + 0.0}[_FIELD_TYPES[name]]
-    for name in SCENARIO_FIELDS
-)
-
-
-def _parse_scenario(cells) -> Scenario:
-    return Scenario(*(parse(cell) for parse, cell in zip(_SCENARIO_PARSERS, cells)))
 
 
 def read_dataset(path) -> SweepDataset:
@@ -718,76 +710,47 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
     return out
 
 
-def _table_scenario_cells():
-    """``_scenario_cells`` memoised for one aggregation table, whose rows
-    repeat a few scenarios; equal scenarios are one group there."""
-    return functools.lru_cache(maxsize=None)(_scenario_cells)
+def _write_aggregate(rows: Sequence, row_type, path) -> None:
+    """Write ``row_type`` rows under the columns of ``_table_columns``;
+    ``rows`` is read once per field."""
+    columns = _table_columns(row_type)
+    fields = (operator.attrgetter(f.name) for f in dataclasses.fields(row_type))
+    _write_table(path, columns, _scenario_lines(columns, *(map(field, rows) for field in fields)))
+
+
+def _read_aggregate(path, row_type) -> list:
+    """The ``row_type`` rows of a table ``_write_aggregate`` wrote.  It holds
+    only finite numbers: its scenario floats come from validated parameters
+    and its statistics from finite groups."""
+    columns = _table_columns(row_type)
+    finite = [name for name in columns if _FIELD_TYPES[name] in ("float", "tuple")]
+    table = _read_columns(path, columns, finite)
+    scenarios = _group_scenarios(table, slice(None))
+    values = (table[name].tolist() for name in columns[len(SCENARIO_FIELDS) :])
+    return list(itertools.starmap(row_type, zip(scenarios, *values)))
 
 
 def write_quantiles(rows: Sequence[QuantileRow], path) -> None:
-    scenario_cells = _table_scenario_cells()
-    _write_table(
-        path,
-        QUANTILE_COLUMNS,
-        (
-            (*scenario_cells(row.scenario), str(row.step), repr(row.quantile), repr(row.value))
-            for row in rows
-        ),
-    )
+    _write_aggregate(rows, QuantileRow, path)
 
 
 def write_boxes(rows: Sequence[BoxStats], path) -> None:
-    scenario_cells = _table_scenario_cells()
-    _write_table(
-        path,
-        BOX_COLUMNS,
-        (
-            (
-                *scenario_cells(row.scenario),
-                *(repr(getattr(row, name)) for name in _BOX_STATS),
-                ";".join(repr(v) for v in row.outliers),
-            )
-            for row in rows
-        ),
-    )
+    _write_aggregate(rows, BoxStats, path)
 
 
 def read_quantiles(path) -> list:
-    table = _read_columns(path, QUANTILE_COLUMNS, _SCENARIO_FLOATS + ("quantile", "value"))
-    scenarios = _group_scenarios(table, slice(None))
-    return [
-        QuantileRow(scenario, step, quantile, value)
-        for scenario, (step, quantile, value) in zip(
-            scenarios, table[["step", "quantile", "value"]].tolist()
-        )
-    ]
+    return _read_aggregate(path, QuantileRow)
 
 
 def read_boxes(path) -> list:
-    n = len(SCENARIO_FIELDS)
-    return _read_table(
-        path,
-        BOX_COLUMNS,
-        lambda cells: BoxStats(
-            _parse_scenario(cells),
-            *(_finite(cell) for cell in cells[n:-1]),
-            outliers=tuple(_finite(cell) for cell in cells[-1].split(";") if cell),
-        ),
-    )
+    return _read_aggregate(path, BoxStats)
 
 
 def write_manifest(grid: SweepGrid, path) -> None:
     """One line per scenario and replication with its derived seed."""
-    _write_table(
-        path,
-        SCENARIO_FIELDS + ("replication", "seed"),
-        (
-            (
-                *_scenario_cells(scenario),
-                str(replication),
-                str(replication_seed(grid.base_seed, scenario, replication)),
-            )
-            for scenario in grid.scenarios()
-            for replication in range(grid.replications)
-        ),
-    )
+    columns = SCENARIO_FIELDS + ("replication", "seed")
+    scenarios = grid.scenarios()
+    replications = list(range(grid.replications)) * len(scenarios)
+    scenarios = [scenario for scenario in scenarios for _ in range(grid.replications)]
+    seeds = map(functools.partial(replication_seed, grid.base_seed), scenarios, replications)
+    _write_table(path, columns, _scenario_lines(columns, scenarios, replications, seeds))

@@ -441,13 +441,16 @@ def test_step_on_extinct_world_only_advances_clock():
 
 
 def test_scenario_metric_row_fields(tiny_params):
-    from sepaird.montecarlo import metric_row
+    from sepaird.montecarlo import CSV_COLUMNS, MetricRow, metric_row
 
     p = tiny_params(horizon=10)
     w = run(init_world(p))
     sc = Scenario(p.mutation_prob, p.cross_immunity, p.cross_protection,
                   p.isolate_symptomatic, p.social_distancing)
-    row = metric_row(w, sc, replication=3)
+    values = metric_row(w, replication=3)
+    assert type(values) is tuple and len(values) == len(CSV_COLUMNS)
+    row = MetricRow(*values)
+    assert row.scenario == sc
     assert row.step == 10
     assert row.replication == 3
     assert row.share_infected == pytest.approx(w.n_infected / p.n_agents)

@@ -14,6 +14,7 @@ from sepaird.montecarlo import (
     DatasetError,
     MetricRow,
     QUANTILE_COLUMNS,
+    SCENARIO_FIELDS,
     Scenario,
     SweepDataset,
     SweepGrid,
@@ -32,11 +33,11 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
     write_quantiles,
-    _format_value,
     _sweep_task,
     _sweep_tasks,
 )
 from sepaird.params import ConfigError, SimParams
+from sepaird.rng import derive_seed
 
 BASE_SCENARIO = Scenario(0.02, 0.5, 0.99, True, 0.0)
 
@@ -101,6 +102,47 @@ def test_scenario_key_format_is_stable():
         "mutation_prob=0.02,cross_immunity=0.5,cross_protection=0.99,"
         "isolate_symptomatic=true,social_distancing=0.0"
     )
+
+
+# equal to one another under ==, so keyed, seeded and spelled alike
+EQUAL_SCENARIOS = [
+    Scenario(0.0, 0.5, 0.99, True, 0.0),
+    Scenario(0.0, 0.5, 0.99, np.bool_(True), 0.0),
+    Scenario(0.0, 0.5, 0.99, True, 0),
+    Scenario(0.0, 0.5, 0.99, True, -0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario", EQUAL_SCENARIOS, ids=["plain", "numpy-bool", "int-zero", "negative-zero"]
+)
+def test_equal_scenarios_are_keyed_seeded_and_spelled_alike(tmp_path, scenario):
+    assert scenario == EQUAL_SCENARIOS[0]
+    key = (
+        "mutation_prob=0.0,cross_immunity=0.5,cross_protection=0.99,"
+        "isolate_symptomatic=true,social_distancing=0.0"
+    )
+    assert scenario.key() == key
+    assert replication_seed(42, scenario, 3) == derive_seed(42, key, 3)
+    grid = SweepGrid(SimParams(), *((getattr(scenario, name),) for name in SCENARIO_FIELDS),
+                     replications=1)
+    manifest, dataset = tmp_path / "manifest.csv", tmp_path / "dataset.csv"
+    write_manifest(grid, manifest)
+    write_dataset(SweepDataset.from_rows([make_row(scenario, 0, 1)]), dataset)
+    n = len(SCENARIO_FIELDS)
+    cells = [path.read_text().splitlines()[1].split(",")[:n] for path in (manifest, dataset)]
+    assert cells == [["0.0", "0.5", "0.99", "true", "0.0"]] * 2
+
+
+def test_scenario_key_joins_the_manifest_scenario_cells(tmp_path, mini_grid):
+    path = tmp_path / "manifest.csv"
+    write_manifest(mini_grid, path)
+    keys = [
+        ",".join(f"{name}={text}" for name, text in zip(SCENARIO_FIELDS, line.split(",")))
+        for line in path.read_text().splitlines()[1:]
+    ]
+    scenarios = mini_grid.scenarios()
+    assert keys == [s.key() for s in scenarios for _ in range(mini_grid.replications)]
 
 
 def test_scenario_apply_round_trip(base_params):
@@ -267,8 +309,8 @@ def test_collect_world_run_matches_observing_every_step(seed, extinct_at):
                   social_distancing=0.7, horizon=80, seed=seed)
     block = collect_world_run(init_world(p), replication=3)
     # no memo: the reference summarises the variants afresh at every step
-    scenario, reference = Scenario.from_params(p), []
-    run(init_world(p), callback=lambda w: reference.append(metric_row(w, scenario, 3)))
+    reference = []
+    run(init_world(p), callback=lambda w: reference.append(MetricRow(*metric_row(w, 3))))
     assert block.dtype == DATASET_DTYPE
     assert block.tobytes() == SweepDataset.from_rows(reference).table.tobytes()
     extinct = block["step"][block["extinct"]].tolist()
@@ -287,9 +329,8 @@ def test_collect_world_run_refreshes_the_summary_when_only_a_cluster_opens():
     assert seen[1] == ([0], 1) and seen[2] == ([0], 2)
     block = collect_world_run(init_world(p))
     assert block["max_antigenic_distance"][:3].tolist() == [0, 0, 1]
-    scenario = Scenario.from_params(p)
     reference = []
-    run(init_world(p), callback=lambda w: reference.append(metric_row(w, scenario, 0)))
+    run(init_world(p), callback=lambda w: reference.append(MetricRow(*metric_row(w, 0))))
     assert block.tobytes() == SweepDataset.from_rows(reference).table.tobytes()
 
 
@@ -352,6 +393,15 @@ def test_dataset_write_is_byte_stable(tmp_path, mini_dataset):
     write_dataset(mini_dataset, a)
     write_dataset(mini_dataset, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _format_value(value) -> str:
+    """One cell, spelled after the Python type of its value alone."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
 
 
 def _reference_csv(table) -> str:
@@ -425,8 +475,8 @@ def test_read_dataset_rejects_bad_cells(tmp_path, mini_dataset):
         read_dataset(path)
 
 
-def _cell_edit(column, text):
-    index = CSV_COLUMNS.index(column)
+def _cell_edit(column, text, columns=CSV_COLUMNS):
+    index = columns.index(column)
     return lambda line: ",".join(
         text if i == index else cell for i, cell in enumerate(line.split(","))
     )
@@ -616,6 +666,33 @@ def test_boxes_round_trip(tmp_path, mini_dataset):
     write_boxes(rows, path)
     assert path.read_text().splitlines()[0] == ",".join(BOX_COLUMNS)
     assert read_boxes(path) == rows
+
+
+# each edit breaks the data line at file line 5, the last of four boxes
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _cell_edit("outliers", "1.0;nan", BOX_COLUMNS),
+        _cell_edit("outliers", "1.0;x", BOX_COLUMNS),
+        # Python's float() would read this as 10.0; no float cell may
+        _cell_edit("outliers", "1.0;1_0", BOX_COLUMNS),
+        _cell_edit("outliers", "1.0\x00", BOX_COLUMNS),
+        lambda line: line.rsplit(",", 1)[0],
+    ],
+    ids=["outlier-nan", "outlier-text", "outlier-underscore", "nul", "short"],
+)
+@pytest.mark.parametrize("blank_before", [False, True])
+def test_read_boxes_names_the_rejected_line(tmp_path, mini_dataset, edit, blank_before):
+    path = tmp_path / "boxes.csv"
+    write_boxes(notched_box(mini_dataset, "mortality", step=15), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 5
+    lines[4] = edit(lines[4])
+    if blank_before:
+        lines.insert(2, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"^line {6 if blank_before else 5}: "):
+        read_boxes(path)
 
 
 def test_boxes_round_trip_with_outliers(tmp_path):
