@@ -26,11 +26,11 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 def main():
     grid = SweepGrid(
         base=SimParams(n_agents=2000, n_initial_infected=5, seed=7),
-        mutation_probs=(0.0, 0.02),
-        cross_immunities=(0.5,),
-        cross_protections=(0.99,),
-        isolations=(False,),
-        distancings=(0.0, 0.4),
+        mutation_prob=(0.0, 0.02),
+        cross_immunity=(0.5,),
+        cross_protection=(0.99,),
+        isolate_symptomatic=(False,),
+        social_distancing=(0.0, 0.4),
         replications=5,
         horizon=150,
         base_seed=42,

@@ -25,7 +25,6 @@ from .montecarlo import (
     read_boxes,
     read_dataset,
     read_quantiles,
-    replication_seed,
     sweep,
     validate_sweep,
     write_boxes,

@@ -6,28 +6,34 @@ social distancing), runs every scenario for a fixed number of
 replications, and collects one row of metrics per simulation step.  Each
 replication's seed is derived from the base seed and the scenario
 content, so results never depend on grid order, execution order, or the
-number of worker processes.
+number of worker processes.  One generator, ``_replications``, lists the
+replications and their seeds in canonical order for the sweep tasks and
+the manifest.
 
 A replication fills its own block of the dataset table.  ``metric_row``
 observes its steps up to the first extinct one, returning each row's
 values in column order and reusing the active-variant summary while the
 variant set it describes is unchanged; the frozen steps after extinction
-are filled at the end with copies of that row.
+are filled at the end with copies of that row.  ``sweep`` allocates the
+table once and copies each block into its rows as it arrives.
 
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
-``Scenario``, ``CSV_COLUMNS`` the fields of ``MetricRow`` (which extends
-``Scenario``), and ``METRIC_FIELDS`` a slice of them; the aggregation
-tables' columns are the scenario fields plus those of their row types.
-A dataset is one numpy structured array with a field per CSV column,
-typed float64, int64 or bool after the ``MetricRow`` field; its
-``MetricRow`` objects are built only on request.
+``Scenario``, which also name ``SweepGrid``'s value lists and the keys of
+a grid file; ``CSV_COLUMNS`` are the fields of ``MetricRow`` (which
+extends ``Scenario``), and ``METRIC_FIELDS`` a slice of them, whose
+variant columns lead an ``ActiveVariantSummary`` in the same order; the
+aggregation tables' columns are the scenario fields plus those of their
+row types.  A grid file is read by the config reader,
+``params.read_key_values``.  A dataset is one numpy structured array
+with a field per CSV column, typed float64, int64 or bool after the
+``MetricRow`` field; its ``MetricRow`` objects are built only on request.
 
 Every CSV is spelled by one table, ``_CELL_FORMATS``, keyed by field
 type; scenario cells are coerced by type first, so scenarios that compare
 equal are spelled, keyed and seeded alike.  One writer, ``_write_table``,
-writes a header and then text; the dataset's text formats the cells on
-either side of ``step`` once per run of rows whose bytes on that side are
-equal.  One reader, ``_read_columns``, parses a CSV in one call and
+writes a header and then text to ``<path>.partial`` and renames it to the
+path once complete; the dataset's text formats the cells on either side
+of ``step`` once per run of rows whose bytes on that side are equal.  One reader, ``_read_columns``, parses a CSV in one call and
 rejects a malformed line, a non-finite required cell or outlier, with its
 line number.
 
@@ -43,6 +49,7 @@ import functools
 import itertools
 import multiprocessing
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .abm import init_world, run
-from .params import SimParams, parse_scalar, validate_params
+from .params import ConfigError, SimParams, parse_scalar, read_key_values, validate_params
 from .phylo import active_variant_stats
 from .rng import derive_seed
 
@@ -118,6 +125,9 @@ class MetricRow(Scenario):
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 METRIC_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("step") + 1 : CSV_COLUMNS.index("extinct")]
+# the variant columns, ``mean_r0`` up to ``active_variant_count``, lead an
+# ``ActiveVariantSummary`` in the same order
+_N_VARIANT_COLUMNS = METRIC_FIELDS.index("active_variant_count") - METRIC_FIELDS.index("mean_r0")
 
 
 @dataclass(frozen=True)
@@ -172,16 +182,7 @@ def metric_row(w, replication: int, memo: dict | None = None) -> tuple:
         w.n_infected / n,
         w.cum_deaths / n,
         int(w.ever_infected.sum()) / n,
-        stats.mean_r0,
-        stats.mean_adapted_ratio,
-        stats.max_antigenic_distance,
-        stats.mean_phylo_depth,
-        stats.mean_infectiousness,
-        stats.mean_latent_end,
-        stats.mean_incubation_end,
-        stats.mean_duration,
-        stats.mean_symptomatic_chance,
-        stats.mean_fatality,
+        *stats[:_N_VARIANT_COLUMNS],
         stats.n_variants if not stats.extinct else 0,
         w.n_infected == 0,
     )
@@ -217,38 +218,29 @@ def collect_world_run(w, replication: int = 0) -> np.ndarray:
     return block
 
 
-# The sweep grid's value list for each scenario field, in field order.
-_GRID_FIELD_OF = {
-    "mutation_prob": "mutation_probs",
-    "cross_immunity": "cross_immunities",
-    "cross_protection": "cross_protections",
-    "isolate_symptomatic": "isolations",
-    "social_distancing": "distancings",
-}
-
-
 @dataclass(frozen=True)
 class SweepGrid:
-    """Base parameters plus per-dimension value lists."""
+    """Base parameters plus the value list of each scenario field, in
+    ``SCENARIO_FIELDS`` order."""
 
     base: SimParams
-    mutation_probs: tuple = (0.0, 0.005, 0.01, 0.02)
-    cross_immunities: tuple = (0.0, 0.5, 0.9)
-    cross_protections: tuple = (0.9, 0.99)
-    isolations: tuple = (False, True)
-    distancings: tuple = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8)
+    mutation_prob: tuple = (0.0, 0.005, 0.01, 0.02)
+    cross_immunity: tuple = (0.0, 0.5, 0.9)
+    cross_protection: tuple = (0.9, 0.99)
+    isolate_symptomatic: tuple = (False, True)
+    social_distancing: tuple = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8)
     replications: int = 100
     horizon: int = 500
     base_seed: int = 42
 
     def scenarios(self) -> list:
-        axes = (getattr(self, plural) for plural in _GRID_FIELD_OF.values())
+        axes = (getattr(self, name) for name in SCENARIO_FIELDS)
         return [Scenario(*combo) for combo in itertools.product(*axes)]
 
 
 def validate_grid(g: SweepGrid) -> SweepGrid:
-    for name, plural in _GRID_FIELD_OF.items():
-        values = getattr(g, plural)
+    for name in SCENARIO_FIELDS:
+        values = getattr(g, name)
         if len(values) == 0:
             raise DatasetError(f"grid dimension {name} is empty")
         if len(set(values)) < len(values):
@@ -264,50 +256,43 @@ def validate_grid(g: SweepGrid) -> SweepGrid:
 
 
 def grid_from_text(text: str, base: SimParams, replications: int = 100) -> SweepGrid:
-    """Parse a grid file: the five sweep dimensions as comma-separated lists.
+    """Parse a grid file: scenario fields as comma-separated value lists.
 
-    Omitted dimensions collapse to the base parameter value.  Lines use
-    ``key = v1, v2, ...`` with ``#`` comments; unknown or duplicate keys
-    and values listed twice are errors.  Values parse as config values
-    do, so ``-0.0`` reads as ``0.0``.
+    Omitted fields collapse to the base parameter value.  Lines are read
+    as config lines are, by ``read_key_values``, with the scenario fields
+    as keys; an empty list and a value listed twice are errors too.
+    Values parse as config values do, so ``-0.0`` reads as ``0.0``.
     """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DatasetError(f"grid line {lineno}: expected key=value")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        if key not in _GRID_FIELD_OF:
-            raise DatasetError(f"grid line {lineno}: unknown dimension {key!r}")
-        if key in values:
-            raise DatasetError(f"grid line {lineno}: duplicate dimension {key!r}")
-        items = [cell.strip() for cell in rhs.split(",")]
+    try:
+        entries = read_key_values(text, SCENARIO_FIELDS)
+    except ConfigError as exc:
+        raise DatasetError(f"grid {exc}") from None
+    axes = {name: (getattr(base, name),) for name in SCENARIO_FIELDS}
+    for key, (lineno, raw) in entries.items():
+        items = [cell.strip() for cell in raw.split(",")]
         if not any(items):
             raise DatasetError(f"grid line {lineno}: empty value list")
         try:
-            parsed = tuple(parse_scalar(key, cell) for cell in items if cell)
+            values = tuple(parse_scalar(key, cell) for cell in items if cell)
         except ValueError as exc:
             raise DatasetError(f"grid line {lineno}: bad value ({exc})") from exc
-        if len(set(parsed)) < len(parsed):
+        if len(set(values)) < len(values):
             raise DatasetError(f"grid line {lineno}: {key!r} lists a value twice")
-        values[key] = parsed
-    fields = {
-        plural: values.get(key, (getattr(base, key),)) for key, plural in _GRID_FIELD_OF.items()
-    }
+        axes[key] = values
     return SweepGrid(
-        base=base,
-        replications=replications,
-        horizon=base.horizon,
-        base_seed=base.seed,
-        **fields,
+        base=base, replications=replications, horizon=base.horizon, base_seed=base.seed, **axes
     )
 
 
 def replication_seed(base_seed: int, scenario: Scenario, replication: int) -> int:
     return derive_seed(base_seed, scenario.key(), replication)
+
+
+def _replications(grid: SweepGrid):
+    """Yield (scenario, replication, seed) per replication, in canonical order."""
+    for scenario in grid.scenarios():
+        for replication in range(grid.replications):
+            yield scenario, replication, replication_seed(grid.base_seed, scenario, replication)
 
 
 def _sweep_tasks(grid: SweepGrid):
@@ -316,9 +301,7 @@ def _sweep_tasks(grid: SweepGrid):
     A generator, so a large grid never holds one SimParams per task at once.
     """
     base = dataclasses.replace(grid.base, horizon=grid.horizon)
-    pairs = itertools.product(grid.scenarios(), range(grid.replications))
-    for index, (scenario, replication) in enumerate(pairs):
-        seed = replication_seed(grid.base_seed, scenario, replication)
+    for index, (scenario, replication, seed) in enumerate(_replications(grid)):
         yield index, dataclasses.replace(scenario.apply(base), seed=seed), replication
 
 
@@ -373,17 +356,19 @@ def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
 def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     """Run the full grid; ``jobs`` workers never change the result.
 
-    Rows come back sorted by (scenario ordinal, replication, step).
-    ``progress`` is called after each finished replication with
+    Rows come back sorted by (scenario ordinal, replication, step): each
+    replication's block is copied into its rows of the table as it
+    arrives.  ``progress`` is called after each finished replication with
     (done, total).
     """
     validate_sweep(grid, jobs)
     total = len(grid.scenarios()) * grid.replications
-    blocks = [None] * total
+    horizon = grid.horizon
+    table = np.empty(total * horizon, dtype=DATASET_DTYPE)
 
     def collect(results):
         for done, (index, block) in enumerate(results, start=1):
-            blocks[index] = block
+            table[index * horizon : (index + 1) * horizon] = block
             if progress is not None:
                 progress(done, total)
 
@@ -392,7 +377,7 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
             collect(pool.imap_unordered(_sweep_task, _sweep_tasks(grid)))
-    return SweepDataset(np.concatenate(blocks))
+    return SweepDataset(table)
 
 
 # -- serialization ----------------------------------------------------------
@@ -433,10 +418,16 @@ def _scenario_lines(columns, scenarios, *values):
 
 
 def _write_table(path, columns, text) -> None:
-    """Write a header of ``columns``, then the strings of ``text``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a header of ``columns``, then the strings of ``text``.
+
+    They go to ``<path>.partial``, which replaces ``path`` only once all
+    are written, so a write that stops early leaves ``path`` as it was.
+    """
+    partial = f"{os.fspath(path)}.partial"
+    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(text)
+    os.replace(partial, path)
 
 
 # rows formatted per block: a column formatted whole would hold one Python
@@ -749,8 +740,4 @@ def read_boxes(path) -> list:
 def write_manifest(grid: SweepGrid, path) -> None:
     """One line per scenario and replication with its derived seed."""
     columns = SCENARIO_FIELDS + ("replication", "seed")
-    scenarios = grid.scenarios()
-    replications = list(range(grid.replications)) * len(scenarios)
-    scenarios = [scenario for scenario in scenarios for _ in range(grid.replications)]
-    seeds = map(functools.partial(replication_seed, grid.base_seed), scenarios, replications)
-    _write_table(path, columns, _scenario_lines(columns, scenarios, replications, seeds))
+    _write_table(path, columns, _scenario_lines(columns, *zip(*_replications(grid))))

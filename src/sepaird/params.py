@@ -48,8 +48,6 @@ class SimParams:
     seed: int = 42
 
 
-_INT_FIELDS = {"n_agents", "n_initial_infected", "daily_contacts", "horizon", "seed"}
-_BOOL_FIELDS = {"isolate_symptomatic"}
 _PROBABILITY_FIELDS = (
     "infectiousness0",
     "fatality0",
@@ -61,7 +59,9 @@ _PROBABILITY_FIELDS = (
     "social_distancing",
 )
 
-PARAM_NAMES = tuple(f.name for f in dataclasses.fields(SimParams))
+# the type name of each field, from its annotation
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
+PARAM_NAMES = tuple(_FIELD_TYPES)
 
 
 def validate_params(p: SimParams) -> SimParams:
@@ -109,15 +109,16 @@ def parse_scalar(name: str, raw: str):
     seed one scenario.
     """
     raw = raw.strip()
+    kind = _FIELD_TYPES[name]
     try:
-        if name in _BOOL_FIELDS:
+        if kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if name in _INT_FIELDS:
+        if kind == "int":
             return int(raw)
         value = float(raw)
         return 0.0 if value == 0.0 else value
@@ -125,12 +126,14 @@ def parse_scalar(name: str, raw: str):
         raise ConfigError(f"cannot parse value for {name}: {raw!r}") from None
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines ('#' starts a comment) into a dict.
+def read_key_values(text: str, names) -> dict:
+    """Read flat ``key = value`` lines into ``{key: (line number, raw value)}``.
 
-    Unknown keys are errors; values are typed per the SimParams field.
+    ``#`` starts a comment and blank lines are skipped.  A line without
+    ``=``, a key not in ``names`` and a key given twice are errors that
+    name their line.
     """
-    values: dict = {}
+    entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -139,12 +142,21 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in PARAM_NAMES:
+        if key not in names:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = parse_scalar(key, raw)
-    return values
+        entries[key] = (lineno, raw)
+    return entries
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse config text read by ``read_key_values`` into a dict.
+
+    Unknown keys are errors; values are typed per the SimParams field.
+    """
+    entries = read_key_values(text, PARAM_NAMES)
+    return {key: parse_scalar(key, raw) for key, (_, raw) in entries.items()}
 
 
 def params_from_config(text: str) -> SimParams:
@@ -157,7 +169,7 @@ def params_to_config(p: SimParams) -> str:
     lines = []
     for name in PARAM_NAMES:
         value = getattr(p, name)
-        if name in _BOOL_FIELDS:
+        if _FIELD_TYPES[name] == "bool":
             value = "true" if value else "false"
         lines.append(f"{name} = {value}")
     return "\n".join(lines) + "\n"

@@ -2,18 +2,19 @@
 
 Every function here is read-only over a Registry (or a World snapshot)
 and safe for concurrent use; ``active_variant_stats`` writes only to the
-memo it is given.
+memo it is given.  An ``ActiveVariantSummary`` holds the dataset's
+variant columns first, in row order, so a metric row takes them as one
+slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .variants import (
     DURATION,
-    FATALITY,
     INCUBATION_END,
     INFECTIOUSNESS,
     LATENT_END,
@@ -101,22 +102,25 @@ def antigenic_distance(registry: Registry, a: int, b: int) -> int:
     return dist
 
 
-@dataclass(frozen=True)
-class ActiveVariantSummary:
-    """Unweighted means over the active (or last surviving) variant set."""
+class ActiveVariantSummary(NamedTuple):
+    """Unweighted means over the active (or last surviving) variant set.
 
-    n_variants: int
-    extinct: bool
+    The fields up to ``mean_fatality`` are the dataset's variant columns,
+    in their order, so a row takes them as one slice.
+    """
+
     mean_r0: float
     mean_adapted_ratio: float
-    mean_phylo_depth: float
     max_antigenic_distance: int
+    mean_phylo_distance: float
     mean_infectiousness: float
     mean_latent_end: float
     mean_incubation_end: float
     mean_duration: float
     mean_symptomatic_chance: float
     mean_fatality: float
+    n_variants: int
+    extinct: bool
 
 
 def summarize_variants(
@@ -126,20 +130,14 @@ def summarize_variants(
     ids = np.asarray(ids, dtype=np.int64)
     props = registry.props_matrix[ids]
     r0, _, ratio = _r0_arrays(props, eta)
-    means = props.mean(axis=0)
     return ActiveVariantSummary(
-        n_variants=int(ids.size),
-        extinct=extinct,
-        mean_r0=float(r0.mean()),
-        mean_adapted_ratio=float(ratio.mean()),
-        mean_phylo_depth=float(registry.variant_depth[ids].mean()),
-        max_antigenic_distance=registry.max_cluster_depth(),
-        mean_infectiousness=float(means[INFECTIOUSNESS]),
-        mean_latent_end=float(means[LATENT_END]),
-        mean_incubation_end=float(means[INCUBATION_END]),
-        mean_duration=float(means[DURATION]),
-        mean_symptomatic_chance=float(means[SYMPTOMATIC_CHANCE]),
-        mean_fatality=float(means[FATALITY]),
+        float(r0.mean()),
+        float(ratio.mean()),
+        registry.max_cluster_depth(),
+        float(registry.variant_depth[ids].mean()),
+        *props.mean(axis=0).tolist(),
+        int(ids.size),
+        extinct,
     )
 
 

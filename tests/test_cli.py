@@ -255,7 +255,7 @@ def test_sweep_rejects_bad_grid(config, tmp_path, capsys):
     grid.write_text("n_agents = 10, 20\n")
     assert main(["sweep", config, "--grid", str(grid), "--reps", "1",
                  "--out", str(tmp_path / "x")]) == 2
-    assert "unknown dimension" in capsys.readouterr().err
+    assert "unknown key" in capsys.readouterr().err
 
 
 # -- analyze ---------------------------------------------------------------

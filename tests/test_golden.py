@@ -116,11 +116,11 @@ def test_ode_csv_is_pinned(tmp_path):
 def tiny_sweep():
     grid = SweepGrid(
         base=SimParams(n_agents=200, n_initial_infected=5, seed=7),
-        mutation_probs=(0.0, 0.05),
-        cross_immunities=(0.5,),
-        cross_protections=(0.99,),
-        isolations=(False, True),
-        distancings=(0.0,),
+        mutation_prob=(0.0, 0.05),
+        cross_immunity=(0.5,),
+        cross_protection=(0.99,),
+        isolate_symptomatic=(False, True),
+        social_distancing=(0.0,),
         replications=3,
         horizon=20,
         base_seed=42,
@@ -148,11 +148,11 @@ def test_quantile_svg_is_pinned(tiny_sweep):
 def test_subcritical_sweep_is_pinned(tmp_path):
     grid = SweepGrid(
         base=SimParams(n_agents=500, seed=7),
-        mutation_probs=(0.0, 0.05),
-        cross_immunities=(0.9,),
-        cross_protections=(0.99,),
-        isolations=(False,),
-        distancings=(0.6, 0.8),
+        mutation_prob=(0.0, 0.05),
+        cross_immunity=(0.9,),
+        cross_protection=(0.99,),
+        isolate_symptomatic=(False,),
+        social_distancing=(0.6, 0.8),
         replications=4,
         horizon=150,
         base_seed=42,

@@ -2,15 +2,18 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sepaird import montecarlo
 from sepaird.abm import init_world, run
 from sepaird.montecarlo import (
     BOX_COLUMNS,
     CSV_COLUMNS,
     DATASET_DTYPE,
+    METRIC_FIELDS,
     DatasetError,
     MetricRow,
     QUANTILE_COLUMNS,
@@ -36,8 +39,10 @@ from sepaird.montecarlo import (
     _sweep_task,
     _sweep_tasks,
 )
-from sepaird.params import ConfigError, SimParams
+from sepaird.params import ConfigError, SimParams, parse_config_text
+from sepaird.phylo import ActiveVariantSummary
 from sepaird.rng import derive_seed
+from sepaird.variants import PROP_NAMES
 
 BASE_SCENARIO = Scenario(0.02, 0.5, 0.99, True, 0.0)
 
@@ -76,11 +81,11 @@ def mini_grid():
     base = SimParams(n_agents=200, n_initial_infected=5, seed=7)
     return SweepGrid(
         base=base,
-        mutation_probs=(0.0, 0.05),
-        cross_immunities=(0.5,),
-        cross_protections=(0.99,),
-        isolations=(False,),
-        distancings=(0.0, 0.4),
+        mutation_prob=(0.0, 0.05),
+        cross_immunity=(0.5,),
+        cross_protection=(0.99,),
+        isolate_symptomatic=(False,),
+        social_distancing=(0.0, 0.4),
         replications=2,
         horizon=15,
         base_seed=42,
@@ -163,6 +168,20 @@ def test_grid_enumerates_full_product(mini_grid):
     assert combos == expected
 
 
+def test_grid_axes_are_the_scenario_fields():
+    names = tuple(f.name for f in dataclasses.fields(SweepGrid))
+    assert names[1 : 1 + len(SCENARIO_FIELDS)] == SCENARIO_FIELDS
+
+
+def test_variant_summary_is_in_row_order():
+    # metric_row splices the summary's leading fields into the row
+    start, stop = METRIC_FIELDS.index("mean_r0"), METRIC_FIELDS.index("active_variant_count")
+    assert ActiveVariantSummary._fields[: stop - start] == METRIC_FIELDS[start:stop]
+    assert ActiveVariantSummary._fields[4 : stop - start] == tuple(
+        f"mean_{name}" for name in PROP_NAMES
+    )
+
+
 def test_default_grid_size(base_params):
     assert len(SweepGrid(base=base_params).scenarios()) == 4 * 3 * 2 * 2 * 6
 
@@ -173,15 +192,15 @@ def test_validate_grid_accepts_default(mini_grid):
 
 def test_validate_grid_rejects_bad_shapes(mini_grid):
     with pytest.raises(DatasetError, match="mutation_prob is empty"):
-        validate_grid(dataclasses.replace(mini_grid, mutation_probs=()))
+        validate_grid(dataclasses.replace(mini_grid, mutation_prob=()))
     with pytest.raises(DatasetError, match="replications"):
         validate_grid(dataclasses.replace(mini_grid, replications=0))
     with pytest.raises(DatasetError, match="horizon"):
         validate_grid(dataclasses.replace(mini_grid, horizon=0))
     with pytest.raises(ConfigError):
-        validate_grid(dataclasses.replace(mini_grid, distancings=(1.5,)))
+        validate_grid(dataclasses.replace(mini_grid, social_distancing=(1.5,)))
     with pytest.raises(DatasetError, match="mutation_prob lists a value twice"):
-        validate_grid(dataclasses.replace(mini_grid, mutation_probs=(0.05, 0.05)))
+        validate_grid(dataclasses.replace(mini_grid, mutation_prob=(0.05, 0.05)))
 
 
 def test_grid_from_text_full(base_params):
@@ -194,11 +213,11 @@ def test_grid_from_text_full(base_params):
     social_distancing = 0.0, 0.5
     """
     grid = grid_from_text(text, base_params, replications=7)
-    assert grid.mutation_probs == (0.0, 0.01)
-    assert grid.cross_immunities == (0.9,)
-    assert grid.cross_protections == (base_params.cross_protection,)
-    assert grid.isolations == (False, True)
-    assert grid.distancings == (0.0, 0.5)
+    assert grid.mutation_prob == (0.0, 0.01)
+    assert grid.cross_immunity == (0.9,)
+    assert grid.cross_protection == (base_params.cross_protection,)
+    assert grid.isolate_symptomatic == (False, True)
+    assert grid.social_distancing == (0.0, 0.5)
     assert grid.replications == 7
     assert grid.horizon == base_params.horizon
     assert grid.base_seed == base_params.seed
@@ -206,14 +225,14 @@ def test_grid_from_text_full(base_params):
 
 def test_grid_from_text_trailing_commas(base_params):
     grid = grid_from_text("mutation_prob = 0.01,\n", base_params)
-    assert grid.mutation_probs == (0.01,)
+    assert grid.mutation_prob == (0.01,)
 
 
 @pytest.mark.parametrize(
     "text,fragment",
     [
         ("mutation_prob 0.1", "expected key=value"),
-        ("n_agents = 10", "unknown dimension"),
+        ("n_agents = 10", "unknown key"),
         ("mutation_prob = 0.1\nmutation_prob = 0.2", "duplicate"),
         ("mutation_prob = 0.01, 0.01", "'mutation_prob' lists a value twice"),
         ("social_distancing = 0.0, -0.0", "'social_distancing' lists a value twice"),
@@ -227,12 +246,27 @@ def test_grid_from_text_rejects(text, fragment, base_params):
         grid_from_text(text, base_params)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["mutation_prob 0.1", "bogus = 1", "mutation_prob = 0.1\nmutation_prob = 0.2"],
+    ids=["no-separator", "unknown-key", "duplicate-key"],
+)
+def test_config_and_grid_files_reject_a_line_alike(line, base_params):
+    text = f"# scenario\n\n{line}\n"
+    with pytest.raises(ConfigError) as config:
+        parse_config_text(text)
+    with pytest.raises(DatasetError) as grid:
+        grid_from_text(text, base_params)
+    assert str(grid.value) == f"grid {config.value}"
+    assert str(grid.value).startswith("grid line ")
+
+
 def test_grid_from_text_reads_negative_zero_as_zero(base_params):
     # -0.0 == 0.0, so a scenario keyed and seeded by "-0.0" would be
     # pooled with the "0.0" one wherever scenarios are grouped
     negative = grid_from_text("social_distancing = -0.0\n", base_params)
     positive = grid_from_text("social_distancing = 0.0\n", base_params)
-    assert math.copysign(1.0, negative.distancings[0]) == 1.0
+    assert math.copysign(1.0, negative.social_distancing[0]) == 1.0
     assert negative.scenarios()[0].key() == positive.scenarios()[0].key()
 
 
@@ -293,6 +327,29 @@ def test_sweep_task_returns_one_table_block(mini_grid):
     assert index == 0
     assert block.dtype == DATASET_DTYPE
     assert block["step"].tolist() == list(range(1, mini_grid.horizon + 1))
+
+
+def test_sweep_holds_the_table_once():
+    # runs that die out early on a long horizon: the table dwarfs one world
+    grid = SweepGrid(
+        base=SimParams(n_agents=50, n_initial_infected=1, seed=3),
+        mutation_prob=(0.0,),
+        cross_immunity=(0.5,),
+        cross_protection=(0.99,),
+        isolate_symptomatic=(False,),
+        social_distancing=(0.8,),
+        replications=8,
+        horizon=2000,
+    )
+    # the first sweep of a process imports modules that would count too
+    sweep(dataclasses.replace(grid, replications=1, horizon=5))
+    tracemalloc.start()
+    try:
+        dataset = sweep(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * dataset.table.nbytes
 
 
 def test_sweep_progress_callback(mini_grid):
@@ -704,6 +761,26 @@ def test_boxes_round_trip_with_outliers(tmp_path):
     path = tmp_path / "boxes.csv"
     write_boxes(boxes, path)
     assert read_boxes(path) == boxes
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier dataset\n"], ids=["new", "existing"])
+def test_stopped_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, mini_dataset, existing):
+    path = tmp_path / "dataset.csv"
+    if existing is not None:
+        path.write_text(existing)
+    full_text = montecarlo._dataset_text
+
+    def stops_after_one_block(table):
+        yield next(full_text(table))
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(montecarlo, "_dataset_text", stops_after_one_block)
+    with pytest.raises(RuntimeError, match="stopped"):
+        write_dataset(mini_dataset, path)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_text() == existing
 
 
 def test_manifest_lists_every_replication(tmp_path, mini_grid):

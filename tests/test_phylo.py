@@ -148,7 +148,7 @@ def test_variant_stats_fields():
     assert s.n_variants == 1
     assert s.mean_r0 == r0
     assert s.mean_adapted_ratio == pytest.approx(adapted / r0)
-    assert s.mean_phylo_depth == 3
+    assert s.mean_phylo_distance == 3
     assert reg.cluster_depths[reg.variant_cluster[tip]] == 3
 
 
@@ -171,7 +171,7 @@ def test_summary_matches_per_variant_means():
     assert not summary.extinct
     assert summary.mean_r0 == pytest.approx(np.mean(r0s))
     assert summary.mean_adapted_ratio == pytest.approx(np.mean(ratios))
-    assert summary.mean_phylo_depth == pytest.approx(
+    assert summary.mean_phylo_distance == pytest.approx(
         np.mean([phylogenetic_distance(reg, int(v)) for v in ids])
     )
     assert summary.max_antigenic_distance == 6
@@ -198,7 +198,7 @@ def test_active_stats_on_fresh_world(tiny_params):
     assert s.n_variants == 1
     assert s.mean_r0 == pytest.approx(2.5)
     assert s.mean_adapted_ratio == pytest.approx(0.65)
-    assert s.mean_phylo_depth == 0.0
+    assert s.mean_phylo_distance == 0.0
     assert s.max_antigenic_distance == 0
 
 
@@ -225,7 +225,7 @@ def test_active_stats_track_current_variants(tiny_params):
     w.try_infect(0, 50)
     s = active_variant_stats(w)
     assert s.n_variants == 2
-    assert s.mean_phylo_depth == pytest.approx(0.5)
+    assert s.mean_phylo_distance == pytest.approx(0.5)
     assert s.max_antigenic_distance == 1
 
 

@@ -1,0 +1,42 @@
+"""Static checks over the package source."""
+
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "sepaird")
+MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """The name each import binds, mapped to its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set:
+    """The strings listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{module} imports names it never uses: {unused}"
