@@ -60,10 +60,9 @@ def main():
 
     print(f"final-step mortality medians by scenario:")
     for box in boxes:
-        sc = box.scenario
-        print(f"  mutation {sc.mutation_prob:.0%}, distancing "
-              f"{sc.social_distancing:.0%}: median {box.median:.4f} "
-              f"[{box.q1:.4f}, {box.q3:.4f}]")
+        print(f"  mutation {box['mutation_prob']:.0%}, distancing "
+              f"{box['social_distancing']:.0%}: median {box['median']:.4f} "
+              f"[{box['q1']:.4f}, {box['q3']:.4f}]")
     print(f"\nwrote dataset.csv, manifest.csv and two SVG charts to {OUT}")
 
 

@@ -27,6 +27,7 @@ from .montecarlo import (
     read_quantiles,
     sweep,
     validate_sweep,
+    write_atomically,
     write_boxes,
     write_dataset,
     write_manifest,
@@ -98,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _cmd_run(args) -> int:
     p = load_params(args.config)
     if args.seed is not None:
@@ -110,9 +106,9 @@ def _cmd_run(args) -> int:
     w = init_world(p, log_events=args.events is not None)
     write_dataset(SweepDataset(collect_world_run(w)), args.out)
     if args.events is not None:
-        lines = ["step,event,agent,variant,cluster"]
-        lines += [f"{s},{e},{a},{v},{c}" for s, e, a, v, c in w.events]
-        _write_text(args.events, "\n".join(lines) + "\n")
+        lines = ["step,event,agent,variant,cluster\n"]
+        lines += [f"{s},{e},{a},{v},{c}\n" for s, e, a, v, c in w.events]
+        write_atomically(args.events, lines)
     return _EXIT_OK
 
 
@@ -162,12 +158,12 @@ def _cmd_ode(args) -> int:
     op = abm_to_ode(p)
     s0 = seeded_state(p.n_agents, p.n_initial_infected, "P")
     trajectory = integrate(s0, op, horizon, dt=args.dt)
-    lines = ["t,S,E,P,A,I,R,D,Rt"]
+    lines = ["t,S,E,P,A,I,R,D,Rt\n"]
     for t, row in zip(trajectory.times.tolist(), trajectory.states):
         state = row.tolist()
         cells = [t, *state, effective_reproduction(state, op)]
-        lines.append(",".join(map(repr, cells)))
-    _write_text(args.out, "\n".join(lines) + "\n")
+        lines.append(",".join(map(repr, cells)) + "\n")
+    write_atomically(args.out, lines)
     return _EXIT_OK
 
 
@@ -194,7 +190,7 @@ def _cmd_plot(args) -> int:
         svg = render_quantile_lines(read_quantiles(args.table), args.metric)
     else:
         svg = render_notched_boxes(read_boxes(args.table), args.metric, step=args.step)
-    _write_text(args.out, svg)
+    write_atomically(args.out, [svg])
     return _EXIT_OK
 
 

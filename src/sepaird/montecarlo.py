@@ -21,25 +21,28 @@ The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, which also name ``SweepGrid``'s value lists and the keys of
 a grid file; ``CSV_COLUMNS`` are the fields of ``MetricRow`` (which
 extends ``Scenario``), and ``METRIC_FIELDS`` a slice of them, whose
-variant columns lead an ``ActiveVariantSummary`` in the same order; the
-aggregation tables' columns are the scenario fields plus those of their
-row types.  A grid file is read by the config reader,
-``params.read_key_values``.  A dataset is one numpy structured array
-with a field per CSV column, typed float64, int64 or bool after the
+variant columns lead an ``ActiveVariantSummary`` in the same order.  A
+grid file is read by the config reader, ``params.read_key_values``.
+Every table is a numpy structured array with a field per CSV column.  A
+dataset's, ``DATASET_DTYPE``, is typed float64, int64 or bool after the
 ``MetricRow`` field; its ``MetricRow`` objects are built only on request.
+The quantile, box and manifest tables (``QUANTILE_DTYPE``, ``BOX_DTYPE``
+and ``MANIFEST_DTYPE``) start with the same scenario columns.
 
-Every CSV is spelled by one table, ``_CELL_FORMATS``, keyed by field
-type; scenario cells are coerced by type first, so scenarios that compare
-equal are spelled, keyed and seeded alike.  One writer, ``_write_table``,
-writes a header and then text to ``<path>.partial`` and renames it to the
-path once complete; the dataset's text formats the cells on either side
-of ``step`` once per run of rows whose bytes on that side are equal.  One reader, ``_read_columns``, parses a CSV in one call and
-rejects a malformed line, a non-finite required cell or outlier, with its
-line number.
+Every cell is spelled by one table, ``_CELL_FORMATS``, keyed by the kind
+of its column's dtype, so the dtype coerces a value before it is spelled;
+scenario floats are spelled as ``+0.0`` of their value, so scenarios that
+compare equal are spelled, keyed and seeded alike.  One writer,
+``_write_table``, formats a table column by column in blocks, the cells on
+either side of one column once per run of rows whose bytes on that side
+are equal, and ``write_atomically`` writes it to ``<path>.partial`` and
+renames that to the path once complete.  One reader, ``_read_columns``,
+parses a CSV in one call and rejects a malformed line, a non-finite
+required cell or outlier, with its line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
-table.
+table, each returned as a table.
 """
 
 from __future__ import annotations
@@ -82,15 +85,12 @@ class Scenario:
     def key(self) -> str:
         """Canonical scenario string; replication seeds hash this, so the
         format is load-bearing and must stay stable."""
-        cells = _scenario_text(self).split(",")
-        return ",".join(f"{name}={text}" for name, text in zip(SCENARIO_FIELDS, cells))
+        scenario = np.array([_scenario_values(self)], dtype=_SCENARIO_DTYPE)
+        (text,) = _joined_cells(scenario, SCENARIO_FIELDS)
+        return ",".join(f"{name}={cell}" for name, cell in zip(SCENARIO_FIELDS, text.split(",")))
 
     def apply(self, base: SimParams) -> SimParams:
         return dataclasses.replace(base, **{name: getattr(self, name) for name in SCENARIO_FIELDS})
-
-    @staticmethod
-    def from_params(p: SimParams) -> "Scenario":
-        return Scenario(*(getattr(p, name) for name in SCENARIO_FIELDS))
 
 
 SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(Scenario))
@@ -130,43 +130,21 @@ METRIC_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("step") + 1 : CSV_COLUMNS.index("e
 _N_VARIANT_COLUMNS = METRIC_FIELDS.index("active_variant_count") - METRIC_FIELDS.index("mean_r0")
 
 
-@dataclass(frozen=True)
-class QuantileRow:
-    scenario: Scenario
-    step: int
-    quantile: float
-    value: float
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    scenario: Scenario
-    median: float
-    q1: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    notch_low: float
-    notch_high: float
-    outliers: tuple
-
-
-def _table_columns(row_type) -> tuple:
-    """The scenario fields, then the fields of ``row_type`` after its scenario."""
-    return SCENARIO_FIELDS + tuple(f.name for f in dataclasses.fields(row_type))[1:]
-
-
-QUANTILE_COLUMNS = _table_columns(QuantileRow)
-BOX_COLUMNS = _table_columns(BoxStats)
-
-
-# the type name of every column of the four tables; a manifest seed can
-# reach 2**64 - 1, so it is formatted from a Python int, never read
-_FIELD_TYPES = {
-    **{f.name: f.type for t in (MetricRow, QuantileRow, BoxStats) for f in dataclasses.fields(t)},
-    "seed": "int",
-}
-_SCENARIO_FLOATS = tuple(name for name in SCENARIO_FIELDS if _FIELD_TYPES[name] == "float")
+# the field type names are numpy's: float64, int64 and bool
+DATASET_DTYPE = np.dtype([(f.name, f.type) for f in dataclasses.fields(MetricRow)])
+_SCENARIO_DTYPE = np.dtype([(name, DATASET_DTYPE[name]) for name in SCENARIO_FIELDS])
+_SCENARIO_FLOATS = tuple(name for name in SCENARIO_FIELDS if _SCENARIO_DTYPE[name].kind == "f")
+QUANTILE_DTYPE = np.dtype(
+    _SCENARIO_DTYPE.descr + [("step", np.int64), ("quantile", np.float64), ("value", np.float64)]
+)
+_BOX_STATS = ("median", "q1", "q3", "whisker_low", "whisker_high", "notch_low", "notch_high")
+BOX_DTYPE = np.dtype(
+    _SCENARIO_DTYPE.descr + [(name, np.float64) for name in _BOX_STATS] + [("outliers", object)]
+)
+# a seed can reach 2**64 - 1
+MANIFEST_DTYPE = np.dtype(_SCENARIO_DTYPE.descr + [("replication", np.int64), ("seed", np.uint64)])
+QUANTILE_COLUMNS = QUANTILE_DTYPE.names
+BOX_COLUMNS = BOX_DTYPE.names
 _scenario_values = operator.attrgetter(*SCENARIO_FIELDS)
 
 
@@ -310,19 +288,6 @@ def _sweep_task(task):
     return index, collect_world_run(init_world(p), replication)
 
 
-# numpy type of a dataclass field type, and the type its CSV cell is parsed
-# into first: a bool cell is read as text wider than "false", so that
-# "falsey" cannot be cut down to "false", and is then checked; an outliers
-# cell is read as text and split
-_NUMPY_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_, "tuple": object}
-_CELL_TYPES = {**_NUMPY_TYPES, "bool": "U6"}
-
-
-def _table_dtype(columns, types=_NUMPY_TYPES) -> np.dtype:
-    return np.dtype([(name, types[_FIELD_TYPES[name]]) for name in columns])
-
-
-DATASET_DTYPE = _table_dtype(CSV_COLUMNS)
 _row_values = operator.attrgetter(*CSV_COLUMNS)
 
 
@@ -383,118 +348,102 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
 # -- serialization ----------------------------------------------------------
 
 
-# the spelling of a cell of each field type, from its Python value
+# the spelling of a cell of each dtype kind, from its Python value
 _CELL_FORMATS = {
-    "float": repr,
-    "int": str,
-    "bool": ("false", "true").__getitem__,
-    "tuple": lambda values: ";".join(map(repr, values)),
+    "f": repr,
+    "i": str,
+    "u": str,
+    "b": ("false", "true").__getitem__,
+    "O": lambda values: ";".join(map(repr, values)),
 }
-# a scenario value is coerced by its type before it is spelled, so that
-# scenarios that compare equal (0, -0.0 and 0.0; 1, np.bool_(True) and
-# True) are spelled, keyed and seeded alike; a dataset reads -0.0 as 0.0
-_SCENARIO_COERCIONS = {"float": lambda value: float(value) + 0.0, "bool": bool}
 
 
-def _scenario_text(scenario: Scenario) -> str:
-    """The scenario's cells, joined by commas."""
-    kinds = (_FIELD_TYPES[name] for name in SCENARIO_FIELDS)
-    return ",".join(
-        _CELL_FORMATS[kind](_SCENARIO_COERCIONS[kind](value))
-        for kind, value in zip(kinds, _scenario_values(scenario))
-    )
-
-
-def _scenario_lines(columns, scenarios, *values):
-    """One CSV line per scenario of ``scenarios``: its cells, then the value
-    at the same position in each of ``values``, spelled by the type of its
-    column in ``columns``.  Formatted column by column: a tuple per row,
-    held for the whole table, would cost garbage-collector passes."""
-    formats = [_CELL_FORMATS[_FIELD_TYPES[name]] for name in columns[len(SCENARIO_FIELDS) :]]
-    cells = (map(spell, column) for spell, column in zip(formats, values))
-    # a table repeats a few scenarios, and equal scenarios are spelled alike
-    text = functools.lru_cache(maxsize=None)(_scenario_text)
-    return (",".join(line) + "\n" for line in zip(map(text, scenarios), *cells))
-
-
-def _write_table(path, columns, text) -> None:
-    """Write a header of ``columns``, then the strings of ``text``.
-
-    They go to ``<path>.partial``, which replaces ``path`` only once all
-    are written, so a write that stops early leaves ``path`` as it was.
-    """
+def write_atomically(path, text) -> None:
+    """Write the strings of ``text`` to ``<path>.partial``, which replaces
+    ``path`` only once all are written, so a write that stops early leaves
+    ``path`` as it was."""
     partial = f"{os.fspath(path)}.partial"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
         fh.writelines(text)
     os.replace(partial, path)
 
 
 # rows formatted per block: a column formatted whole would hold one Python
-# object per cell of the dataset at once
+# object per cell of the table at once
 _WRITE_BLOCK = 4096
-_STEP = CSV_COLUMNS.index("step")
-# the bytes of a dataset row before and after its step cell
-_BEFORE_STEP = slice(0, DATASET_DTYPE.fields["step"][1])
-_AFTER_STEP = slice(_BEFORE_STEP.stop + DATASET_DTYPE["step"].itemsize, DATASET_DTYPE.itemsize)
 
 
 def _joined_cells(rows: np.ndarray, columns) -> map:
     """The cells of ``columns`` of each of ``rows``, formatted column by
-    column and joined by commas."""
-    formatted = (map(_CELL_FORMATS[_FIELD_TYPES[name]], rows[name].tolist()) for name in columns)
-    return map(",".join, zip(*formatted))
+    column and joined by commas.  A scenario float is spelled as ``+0.0``
+    of its value, so ``-0.0`` as ``0.0``, as a dataset reads it."""
+
+    def cells(name):
+        column = rows[name] + 0.0 if name in _SCENARIO_FLOATS else rows[name]
+        return map(_CELL_FORMATS[column.dtype.kind], column.tolist())
+
+    return map(",".join, zip(*map(cells, columns)))
 
 
-def _new_runs(raw: np.ndarray, part: slice) -> np.ndarray:
-    """Whether each row of the byte matrix ``raw`` differs from the row
-    before it in the bytes ``part``; the first row always does."""
-    new = np.ones(len(raw), dtype=bool)
-    new[1:] = (raw[1:, part] != raw[:-1, part]).any(axis=1)
+def _new_runs(rows: np.ndarray, columns) -> np.ndarray:
+    """Whether each of ``rows`` differs from the row before it in the bytes
+    of ``columns``.  The first row always does, and so does every row when
+    a column holds objects, whose bytes are references."""
+    part = np.dtype([(name, rows.dtype[name]) for name in columns])
+    new = np.ones(len(rows), dtype=bool)
+    if not part.hasobject:
+        raw = np.array(rows[list(columns)], dtype=part).view(np.uint8).reshape(len(rows), -1)
+        new[1:] = (raw[1:] != raw[:-1]).any(axis=1)
     return new
 
 
-def _dataset_text(table: np.ndarray):
+def _table_text(table: np.ndarray, split: str):
     """The CSV lines of ``table``, one string per block of rows.
 
-    The cells before ``step`` are formatted once per run of rows whose
-    bytes before it are equal, as they are within a replication, and the
-    cells after it once per run equal after it, such as the rows of an
-    extinct replication.  Every row formats its own ``step``.
+    The cells before column ``split`` are formatted once per run of rows
+    whose bytes in them are equal, such as a scenario's rows, and the cells
+    after it once per run equal in them, such as the rows of an extinct
+    replication.  Every row formats its own ``split`` cell.  Bytes, not
+    ``==``: a ``-0.0`` after a ``0.0`` is formatted again.
     """
+    names = table.dtype.names
+    before, after = names[: names.index(split)], names[names.index(split) + 1 :]
+    spell = _CELL_FORMATS[table.dtype[split].kind]
     head = tail = None
     for start in range(0, len(table), _WRITE_BLOCK):
         # with the row before, against which the block's first row is compared
         first = max(start - 1, 0)
-        rows = np.array(table[first : start + _WRITE_BLOCK], dtype=DATASET_DTYPE)
-        for name in _SCENARIO_FLOATS:
-            # -0.0 as 0.0, as ``_scenario_text`` spells it
-            rows[name] += 0.0
-        raw = rows.view(np.uint8).reshape(rows.size, DATASET_DTYPE.itemsize)
-        new_head = _new_runs(raw, _BEFORE_STEP)[start - first :]
-        new_tail = _new_runs(raw, _AFTER_STEP)[start - first :]
+        rows = table[first : start + _WRITE_BLOCK]
+        new_head = _new_runs(rows, before)[start - first :]
+        new_tail = _new_runs(rows, after)[start - first :]
         rows = rows[start - first :]
-        heads = [head, *_joined_cells(rows[new_head], CSV_COLUMNS[:_STEP])]
-        tails = [tail, *_joined_cells(rows[new_tail], CSV_COLUMNS[_STEP + 1 :])]
+        heads = [head, *_joined_cells(rows[new_head], before)]
+        tails = [tail, *_joined_cells(rows[new_tail], after)]
         yield "".join(
             [
-                f"{heads[h]},{step},{tails[t]}\n"
-                for h, t, step in zip(
-                    np.cumsum(new_head).tolist(), np.cumsum(new_tail).tolist(), rows["step"].tolist()
+                f"{heads[h]},{cell},{tails[t]}\n"
+                for h, t, cell in zip(
+                    np.cumsum(new_head).tolist(),
+                    np.cumsum(new_tail).tolist(),
+                    map(spell, rows[split].tolist()),
                 )
             ]
         )
         head, tail = heads[-1], tails[-1]
 
 
-def write_dataset(ds: SweepDataset, path) -> None:
-    """Format the table column by column, each cell by ``_CELL_FORMATS``.
+def _write_table(path, table: np.ndarray, dtype: np.dtype, split: str) -> None:
+    """Write ``table`` as a ``dtype`` table: a header of its columns, then
+    the lines of ``_table_text``."""
+    lines = _table_text(np.asarray(table, dtype=dtype), split)
+    write_atomically(path, itertools.chain([",".join(dtype.names) + "\n"], lines))
 
-    A row equal in bytes to the row before it on one side of ``step``
-    reuses that row's cells on that side.  Bytes, not ``==``: a ``-0.0``
-    after a ``0.0`` is formatted again.
-    """
-    _write_table(path, CSV_COLUMNS, _dataset_text(ds.table))
+
+def write_dataset(ds: SweepDataset, path) -> None:
+    """Format the table column by column, each cell by ``_CELL_FORMATS``,
+    reusing the cells on either side of ``step`` of a row equal in bytes
+    there to the row before it."""
+    _write_table(path, ds.table, DATASET_DTYPE, "step")
 
 
 def _read_header(fh, columns) -> None:
@@ -511,25 +460,27 @@ def _loadtxt(lines, dtype) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
 
 
-def _parse_lines(lines, columns, finite) -> np.ndarray:
-    """The CSV data ``lines`` as one table of ``columns``, in one C-level parse.
+def _parse_lines(lines, dtype: np.dtype, finite) -> np.ndarray:
+    """The CSV data ``lines`` as one ``dtype`` table, in one C-level parse.
 
-    Blank lines are skipped.  Bool cells must read ``true`` or ``false``,
-    an outliers cell is split into a tuple of floats, the float and tuple
-    columns in ``finite`` must be finite, and scenario floats read ``-0.0``
-    as ``0.0``.  Raises ValueError on the first violation.
+    Blank lines are skipped.  A bool cell is read as text wider than
+    ``false``, so that ``falsey`` cannot be cut down to ``false``, and must
+    read ``true`` or ``false``; an outliers cell is read as text and split
+    into a tuple of floats.  The columns in ``finite`` must be finite, and
+    scenario floats read ``-0.0`` as ``0.0``.  Raises ValueError on the first
+    violation.
     """
-    cells = _loadtxt(lines, _table_dtype(columns, _CELL_TYPES))
-    table = np.empty(cells.shape, dtype=_table_dtype(columns))
-    for name in columns:
+    cell_types = [(name, "U6" if dtype[name].kind == "b" else dtype[name]) for name in dtype.names]
+    cells = _loadtxt(lines, cell_types)
+    table = np.empty(cells.shape, dtype=dtype)
+    for name in dtype.names:
         column = values = cells[name]
-        kind = _FIELD_TYPES[name]
-        if kind == "bool":
-            true = column == "true"
-            if not (true | (column == "false")).all():
+        kind = dtype[name].kind
+        if kind == "b":
+            column = values = column == "true"
+            if not (column | (cells[name] == "false")).all():
                 raise ValueError(f"{name} is not true or false")
-            column = true
-        elif kind == "tuple":
+        elif kind == "O":
             # ``;``-joined floats, parsed as float cells are; empty pieces are skipped
             pieces = [_loadtxt(text.split(";"), np.float64) for text in column.tolist()]
             values = np.concatenate([np.empty(0), *pieces])
@@ -540,8 +491,8 @@ def _parse_lines(lines, columns, finite) -> np.ndarray:
             bad = ~np.isfinite(values)
             if bad.any():
                 raise ValueError(f"non-finite {name} {float(values[bad][0])!r}")
-            if name in SCENARIO_FIELDS:
-                column = column + 0.0
+        if name in _SCENARIO_FLOATS:
+            column = column + 0.0
         table[name] = column
     return table
 
@@ -554,16 +505,17 @@ def _holds_nul(path) -> bool:
         return any(b"\x00" in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
 
 
-def _read_columns(path, columns, finite) -> np.ndarray:
-    """Every non-blank line under an exact ``columns`` header, parsed by
-    ``_parse_lines``; a rejected file is parsed again, line by line, only to
-    name the first line at fault.  A line that holds a NUL is rejected."""
+def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
+    """Every non-blank line under an exact header of ``dtype``'s columns,
+    parsed by ``_parse_lines``; a rejected file is parsed again, line by
+    line, only to name the first line at fault.  A line that holds a NUL is
+    rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        _read_header(fh, columns)
+        _read_header(fh, dtype.names)
         try:
             if _holds_nul(path):
                 raise ValueError("NUL character")
-            return _parse_lines(fh, columns, finite)
+            return _parse_lines(fh, dtype, finite)
         except ValueError as exc:
             error = exc
         fh.seek(0)
@@ -572,7 +524,7 @@ def _read_columns(path, columns, finite) -> np.ndarray:
             try:
                 if "\x00" in line:
                     raise ValueError("NUL character")
-                _parse_lines([line], columns, finite)
+                _parse_lines([line], dtype, finite)
             except ValueError as exc:
                 # numpy's own position is within this one line
                 raise DatasetError(f"line {lineno}: {str(exc).partition(' at row ')[0]}") from None
@@ -582,7 +534,7 @@ def _read_columns(path, columns, finite) -> np.ndarray:
 def read_dataset(path) -> SweepDataset:
     """Parse a dataset CSV, enforcing the exact fixed schema and finite
     scenario cells."""
-    return SweepDataset(_read_columns(path, CSV_COLUMNS, _SCENARIO_FLOATS))
+    return SweepDataset(_read_columns(path, DATASET_DTYPE, _SCENARIO_FLOATS))
 
 
 # -- aggregation -------------------------------------------------------------
@@ -624,17 +576,11 @@ def _group_quantiles(values: np.ndarray, starts: np.ndarray, levels) -> np.ndarr
     return out
 
 
-def _group_scenarios(table: np.ndarray, rows) -> list:
-    """The scenario of each of ``rows``, one object per distinct scenario."""
-    cells = table[list(SCENARIO_FIELDS)][rows].tolist()
-    made = {key: Scenario(*key) for key in dict.fromkeys(cells)}
-    return [made[key] for key in cells]
-
-
 def quantile_series(
     ds: SweepDataset, metric: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
-) -> list:
-    """Per-scenario, per-step empirical quantiles across replications.
+) -> np.ndarray:
+    """Per-scenario, per-step empirical quantiles across replications, as a
+    ``QUANTILE_DTYPE`` table.
 
     Quantiles use linear interpolation between order statistics.  Output
     ordering is canonical (sorted scenarios, then step, then the given
@@ -644,23 +590,21 @@ def quantile_series(
         if not 0.0 <= q <= 1.0:
             raise DatasetError(f"quantile {q} out of [0,1]")
     table = ds.table
-    order, starts = _groups(table, SCENARIO_FIELDS + ("step",))
+    keys = list(SCENARIO_FIELDS + ("step",))
+    order, starts = _groups(table, keys)
     values = _metric_values(table, metric, order)
-    levels = [float(q) for q in quantiles]
-    firsts = order[starts]
-    return [
-        QuantileRow(scenario, step, q, value)
-        for scenario, step, row in zip(
-            _group_scenarios(table, firsts),
-            table["step"][firsts].tolist(),
-            _group_quantiles(values, starts, levels).tolist(),
-        )
-        for q, value in zip(levels, row)
-    ]
+    levels = np.array(quantiles, dtype=np.float64)
+    out = np.empty(starts.size * levels.size, dtype=QUANTILE_DTYPE)
+    firsts = np.repeat(order[starts], levels.size)
+    for name in keys:
+        out[name] = table[name][firsts]
+    out["quantile"] = np.tile(levels, starts.size)
+    out["value"] = _group_quantiles(values, starts, levels).ravel()
+    return out
 
 
-def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
-    """Box statistics per scenario at one step.
+def notched_box(ds: SweepDataset, metric: str, step: int) -> np.ndarray:
+    """Box statistics per scenario at one step, as a ``BOX_DTYPE`` table.
 
     Whiskers sit on the most extreme data within 1.5 IQR of the box;
     values beyond them are listed as outliers.  The notch half-width is
@@ -672,72 +616,45 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> list:
     values = _metric_values(at_step, metric, order)
     if starts.size < _groups(table, SCENARIO_FIELDS)[1].size:
         raise DatasetError(f"no data at step {step}")
-    quartiles = _group_quantiles(values, starts, [0.25, 0.5, 0.75]).tolist()
-    out = []
-    for scenario, group, (q1, median, q3) in zip(
-        _group_scenarios(at_step, order[starts]), np.split(values, starts[1:]), quartiles
-    ):
-        iqr = q3 - q1
-        low_fence = q1 - 1.5 * iqr
-        high_fence = q3 + 1.5 * iqr
-        inside = group[(group >= low_fence) & (group <= high_fence)]
-        whisker_low = float(inside.min())
-        whisker_high = float(inside.max())
-        half_notch = 1.58 * iqr / np.sqrt(group.size)
-        outliers = group[(group < whisker_low) | (group > whisker_high)]
-        out.append(
-            BoxStats(
-                scenario=scenario,
-                median=median,
-                q1=q1,
-                q3=q3,
-                whisker_low=whisker_low,
-                whisker_high=whisker_high,
-                notch_low=float(median - half_notch),
-                notch_high=float(median + half_notch),
-                outliers=tuple(sorted(outliers.tolist())),
-            )
-        )
+    sizes = np.diff(starts, append=values.size)
+    group = np.repeat(np.arange(starts.size), sizes)
+    q1, median, q3 = _group_quantiles(values, starts, [0.25, 0.5, 0.75]).T
+    iqr = q3 - q1
+    inside = (values >= (q1 - 1.5 * iqr)[group]) & (values <= (q3 + 1.5 * iqr)[group])
+    whisker_low = np.minimum.reduceat(np.where(inside, values, np.inf), starts)
+    whisker_high = np.maximum.reduceat(np.where(inside, values, -np.inf), starts)
+    outside = (values < whisker_low[group]) | (values > whisker_high[group])
+    half_notch = 1.58 * iqr / np.sqrt(sizes)
+    out = np.empty(starts.size, dtype=BOX_DTYPE)
+    out[list(SCENARIO_FIELDS)] = at_step[list(SCENARIO_FIELDS)][order[starts]]
+    out["median"], out["q1"], out["q3"] = median, q1, q3
+    out["whisker_low"], out["whisker_high"] = whisker_low, whisker_high
+    out["notch_low"], out["notch_high"] = median - half_notch, median + half_notch
+    groups = zip(np.split(values, starts[1:]), np.split(outside, starts[1:]))
+    outliers = (tuple(sorted(v[beyond].tolist())) for v, beyond in groups)
+    out["outliers"] = np.fromiter(outliers, dtype=object, count=starts.size)
     return out
 
 
-def _write_aggregate(rows: Sequence, row_type, path) -> None:
-    """Write ``row_type`` rows under the columns of ``_table_columns``;
-    ``rows`` is read once per field."""
-    columns = _table_columns(row_type)
-    fields = (operator.attrgetter(f.name) for f in dataclasses.fields(row_type))
-    _write_table(path, columns, _scenario_lines(columns, *(map(field, rows) for field in fields)))
+def write_quantiles(table: np.ndarray, path) -> None:
+    _write_table(path, table, QUANTILE_DTYPE, "step")
 
 
-def _read_aggregate(path, row_type) -> list:
-    """The ``row_type`` rows of a table ``_write_aggregate`` wrote.  It holds
-    only finite numbers: its scenario floats come from validated parameters
-    and its statistics from finite groups."""
-    columns = _table_columns(row_type)
-    finite = [name for name in columns if _FIELD_TYPES[name] in ("float", "tuple")]
-    table = _read_columns(path, columns, finite)
-    scenarios = _group_scenarios(table, slice(None))
-    values = (table[name].tolist() for name in columns[len(SCENARIO_FIELDS) :])
-    return list(itertools.starmap(row_type, zip(scenarios, *values)))
+def write_boxes(table: np.ndarray, path) -> None:
+    _write_table(path, table, BOX_DTYPE, "median")
 
 
-def write_quantiles(rows: Sequence[QuantileRow], path) -> None:
-    _write_aggregate(rows, QuantileRow, path)
+# an aggregation table holds only finite numbers: its scenario floats come
+# from validated parameters and its statistics from finite groups
+def read_quantiles(path) -> np.ndarray:
+    return _read_columns(path, QUANTILE_DTYPE, QUANTILE_COLUMNS)
 
 
-def write_boxes(rows: Sequence[BoxStats], path) -> None:
-    _write_aggregate(rows, BoxStats, path)
-
-
-def read_quantiles(path) -> list:
-    return _read_aggregate(path, QuantileRow)
-
-
-def read_boxes(path) -> list:
-    return _read_aggregate(path, BoxStats)
+def read_boxes(path) -> np.ndarray:
+    return _read_columns(path, BOX_DTYPE, BOX_COLUMNS)
 
 
 def write_manifest(grid: SweepGrid, path) -> None:
     """One line per scenario and replication with its derived seed."""
-    columns = SCENARIO_FIELDS + ("replication", "seed")
-    _write_table(path, columns, _scenario_lines(columns, *zip(*_replications(grid))))
+    rows = [(*_scenario_values(s), rep, seed) for s, rep, seed in _replications(grid)]
+    _write_table(path, rows, MANIFEST_DTYPE, "replication")

@@ -7,9 +7,9 @@ yields identical bytes.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from .montecarlo import SCENARIO_FIELDS, BoxStats, DatasetError, QuantileRow
+from .montecarlo import SCENARIO_FIELDS, DatasetError
 
 _WIDTH = 860
 _HEIGHT = 520
@@ -38,20 +38,21 @@ def _fmt_tick(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _scenario_labels(scenarios: Sequence) -> list:
-    """Compact legend labels from the fields that actually vary."""
+def _scenario_labels(scenarios: list) -> list:
+    """Compact legend labels from the fields that actually vary; a scenario
+    is a tuple of its ``SCENARIO_FIELDS`` values."""
     varying = [
-        name
-        for name in SCENARIO_FIELDS
-        if len({getattr(s, name) for s in scenarios}) > 1
+        (i, name)
+        for i, name in enumerate(SCENARIO_FIELDS)
+        if len({s[i] for s in scenarios}) > 1
     ]
     if not varying:
         return ["all scenarios"] * len(scenarios)
     labels = []
     for s in scenarios:
         parts = []
-        for name in varying:
-            value = getattr(s, name)
+        for i, name in varying:
+            value = s[i]
             if isinstance(value, bool):
                 parts.append(f"{name}={'on' if value else 'off'}")
             else:
@@ -162,30 +163,30 @@ def _document(parts_body) -> str:
     return head + "\n".join(parts_body) + "\n</svg>\n"
 
 
-def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
-    """Layered quantile curves: one path per (scenario, quantile).
+def render_quantile_lines(table: np.ndarray, metric: str) -> str:
+    """Layered quantile curves of a ``QUANTILE_DTYPE`` table: one path per
+    (scenario, quantile).
 
     The median is drawn solid and heavier; other quantiles dashed.
     """
-    if not rows:
+    if table.size == 0:
         raise DatasetError("no data")
-    # scenario -> its ordinal in order of first appearance
-    ordinal: dict = {}
-    for row in rows:
-        ordinal.setdefault(row.scenario, len(ordinal))
-    steps = [row.step for row in rows]
-    values = [row.value for row in rows]
-    canvas = _Canvas(min(steps), max(steps), min(values), max(values))
+    scenarios = table[list(SCENARIO_FIELDS)]
+    steps, quantiles, values = table["step"], table["quantile"], table["value"]
+    # each row's scenario ordinal, in order of first appearance
+    _, firsts, scenario_of = np.unique(scenarios, return_index=True, return_inverse=True)
+    ordinal = np.argsort(np.argsort(firsts))[scenario_of]
+    canvas = _Canvas(int(steps.min()), int(steps.max()), float(values.min()), float(values.max()))
     parts = []
     x_ticks = [(t, _fmt_tick(t)) for t in _ticks(canvas.x_lo, canvas.x_hi)]
     _frame(parts, canvas, metric, "step", metric, x_ticks, _ticks(canvas.y_lo, canvas.y_hi))
-    series: dict = {}
-    for row in rows:
-        series.setdefault((ordinal[row.scenario], row.quantile), []).append(
-            (row.step, row.value)
-        )
-    for (scenario_idx, quantile) in sorted(series):
-        points = sorted(series[(scenario_idx, quantile)])
+    # one polyline per (scenario, quantile), its points in (step, value) order
+    order = np.lexsort((values, steps, quantiles, ordinal))
+    keys = np.stack([ordinal[order], quantiles[order]])
+    ends = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
+    for line in np.split(order, ends):
+        scenario_idx, quantile = int(ordinal[line[0]]), float(quantiles[line[0]])
+        points = zip(steps[line].tolist(), values[line].tolist())
         color = _PALETTE[scenario_idx % len(_PALETTE)]
         coords = " ".join(f"{_fmt(canvas.x(s))},{_fmt(canvas.y(v))}" for s, v in points)
         if abs(quantile - 0.5) < 1e-9:
@@ -193,39 +194,39 @@ def render_quantile_lines(rows: Sequence[QuantileRow], metric: str) -> str:
         else:
             style = f'stroke="{color}" stroke-width="1" fill="none" stroke-dasharray="4 3" opacity="0.7"'
         parts.append(f'<polyline points="{coords}" {style}/>')
-    _legend(parts, _scenario_labels(list(ordinal)))
+    _legend(parts, _scenario_labels(scenarios[np.sort(firsts)].tolist()))
     return _document(parts)
 
 
-def render_notched_boxes(rows: Sequence[BoxStats], metric: str, step=None) -> str:
-    """One notched box per scenario with whiskers and outlier dots."""
-    if not rows:
+def render_notched_boxes(table: np.ndarray, metric: str, step=None) -> str:
+    """One notched box per scenario of a ``BOX_DTYPE`` table, with whiskers
+    and outlier dots."""
+    if table.size == 0:
         raise DatasetError("no data")
-    scenarios = [row.scenario for row in rows]
-    labels = _scenario_labels(scenarios)
-    lows = [min((row.whisker_low, *row.outliers)) for row in rows]
-    highs = [max((row.whisker_high, *row.outliers)) for row in rows]
-    canvas = _Canvas(0.0, float(len(rows)), min(lows), max(highs))
+    labels = _scenario_labels(table[list(SCENARIO_FIELDS)].tolist())
+    lows = [min((box["whisker_low"], *box["outliers"])) for box in table]
+    highs = [max((box["whisker_high"], *box["outliers"])) for box in table]
+    canvas = _Canvas(0.0, float(len(table)), min(lows), max(highs))
     title = metric if step is None else f"{metric} at step {step}"
     parts = []
-    x_ticks = [(i + 0.5, f"S{i + 1}") for i in range(len(rows))]
+    x_ticks = [(i + 0.5, f"S{i + 1}") for i in range(len(table))]
     _frame(parts, canvas, title, "scenario", metric, x_ticks, _ticks(canvas.y_lo, canvas.y_hi))
     half = 0.28
     notch_half = 0.14
-    for i, row in enumerate(rows):
+    for i, box in enumerate(table):
         color = _PALETTE[i % len(_PALETTE)]
         cx = canvas.x(i + 0.5)
         x_l = canvas.x(i + 0.5 - half)
         x_r = canvas.x(i + 0.5 + half)
         x_nl = canvas.x(i + 0.5 - notch_half)
         x_nr = canvas.x(i + 0.5 + notch_half)
-        y_q1 = canvas.y(row.q1)
-        y_q3 = canvas.y(row.q3)
-        y_med = canvas.y(row.median)
-        y_nlo = canvas.y(max(row.notch_low, row.q1))
-        y_nhi = canvas.y(min(row.notch_high, row.q3))
-        y_wlo = canvas.y(row.whisker_low)
-        y_whi = canvas.y(row.whisker_high)
+        y_q1 = canvas.y(box["q1"])
+        y_q3 = canvas.y(box["q3"])
+        y_med = canvas.y(box["median"])
+        y_nlo = canvas.y(max(box["notch_low"], box["q1"]))
+        y_nhi = canvas.y(min(box["notch_high"], box["q3"]))
+        y_wlo = canvas.y(box["whisker_low"])
+        y_whi = canvas.y(box["whisker_high"])
         points = [
             (x_l, y_q1),
             (x_r, y_q1),
@@ -257,7 +258,7 @@ def render_notched_boxes(rows: Sequence[BoxStats], metric: str, step=None) -> st
                 f'x2="{_fmt(cx + 12)}" y2="{_fmt(y_whisker)}" '
                 f'stroke="{color}" stroke-width="1"/>'
             )
-        for value in row.outliers:
+        for value in box["outliers"]:
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(canvas.y(value))}" r="2.5" '
                 f'fill="none" stroke="{color}" stroke-width="1"/>'

@@ -335,14 +335,14 @@ def test_c8_property_oracles():
         make_row(sc, rep, 1, mortality=float(rep + 1)) for rep in range(100)
     )
     (q,) = quantile_series(ds, "mortality", (0.5,))
-    checks.append(("quantile oracle", q.value == pytest.approx(50.5)))
+    checks.append(("quantile oracle", q["value"] == pytest.approx(50.5)))
     ds = SweepDataset.from_rows(
         make_row(sc, rep, 1, mortality=v)
         for rep, v in enumerate((1.0, 2.0, 3.0, 4.0, 100.0))
     )
     (box,) = notched_box(ds, "mortality", 1)
-    checks.append(("box oracle", (box.median, box.q1, box.q3, box.whisker_high,
-                                  box.outliers) == (3.0, 2.0, 4.0, 4.0, (100.0,))))
+    checks.append(("box oracle", (box["median"], box["q1"], box["q3"], box["whisker_high"],
+                                  box["outliers"]) == (3.0, 2.0, 4.0, 4.0, (100.0,))))
 
     for name, ok in checks:
         print(f"C8 {name}: {'PASS' if ok else 'FAIL'}")

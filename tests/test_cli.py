@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import errno
 import os
 import re
 
@@ -444,6 +446,36 @@ def test_undecodable_input_is_a_usage_error(config, tmp_path, capsys, command):
     assert err.startswith(f"sepaird {command}: ") and err.count("\n") == 1
     assert "can't decode" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["ode", "plot"])
+def test_stopped_write_leaves_an_earlier_output_as_it_was(config, quantile_table, tmp_path,
+                                                          monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("an earlier output\n")
+    real_open = builtins.open
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        # a file opened for writing takes ten characters, then the disk is full
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def write_until_full(text):
+                write(text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write_until_full
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    argv = {
+        "ode": ["ode", config],
+        "plot": ["plot", quantile_table, "--kind", "lines"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert out.read_text() == "an earlier output\n"
 
 
 def test_plot_requires_kind(quantile_table, tmp_path):

@@ -11,12 +11,14 @@ from sepaird import montecarlo
 from sepaird.abm import init_world, run
 from sepaird.montecarlo import (
     BOX_COLUMNS,
+    BOX_DTYPE,
     CSV_COLUMNS,
     DATASET_DTYPE,
     METRIC_FIELDS,
     DatasetError,
     MetricRow,
     QUANTILE_COLUMNS,
+    QUANTILE_DTYPE,
     SCENARIO_FIELDS,
     Scenario,
     SweepDataset,
@@ -74,6 +76,11 @@ def make_row(scenario, replication, step, **metrics):
     )
     values.update(metrics)
     return MetricRow(**values)
+
+
+def scenarios_of(table):
+    """The scenario of each row of an aggregation table."""
+    return [Scenario(*values) for values in table[list(SCENARIO_FIELDS)].tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +161,6 @@ def test_scenario_apply_round_trip(base_params):
     p = BASE_SCENARIO.apply(base_params)
     assert p.mutation_prob == 0.02
     assert p.isolate_symptomatic is True
-    assert Scenario.from_params(p) == BASE_SCENARIO
     assert p.n_agents == base_params.n_agents  # untouched fields survive
 
 
@@ -606,19 +612,21 @@ def test_quantile_series_linear_interpolation():
     ds = SweepDataset.from_rows(rows)
     got = quantile_series(ds, "mortality", (0.05, 0.5, 0.95))
     values = np.arange(1.0, 101.0)
-    assert [q.quantile for q in got] == [0.05, 0.5, 0.95]
-    for row, level in zip(got, (0.05, 0.5, 0.95)):
-        assert row.scenario == BASE_SCENARIO
-        assert row.step == 1
-        assert row.value == pytest.approx(np.quantile(values, level))
-    assert got[1].value == pytest.approx(50.5)
+    assert got.dtype == QUANTILE_DTYPE
+    assert got["quantile"].tolist() == [0.05, 0.5, 0.95]
+    assert scenarios_of(got) == [BASE_SCENARIO] * 3
+    assert got["step"].tolist() == [1] * 3
+    for value, level in zip(got["value"].tolist(), (0.05, 0.5, 0.95)):
+        assert value == pytest.approx(np.quantile(values, level))
+    assert got["value"][1] == pytest.approx(50.5)
 
 
 def test_quantile_series_orders_levels_pointwise(mini_dataset):
     rows = quantile_series(mini_dataset, "share_infected")
     by_key = {}
-    for row in rows:
-        by_key.setdefault((row.scenario, row.step), []).append(row.value)
+    columns = (rows[name].tolist() for name in ("step", "value"))
+    for scenario, step, value in zip(scenarios_of(rows), *columns):
+        by_key.setdefault((scenario, step), []).append(value)
     for values in by_key.values():
         assert values == sorted(values)
 
@@ -627,9 +635,9 @@ def test_quantile_series_is_permutation_invariant(mini_dataset):
     shuffled = list(mini_dataset.rows)
     random.Random(99).shuffle(shuffled)
     ds = SweepDataset.from_rows(shuffled)
-    assert quantile_series(ds, "mortality") == quantile_series(
-        mini_dataset, "mortality"
-    )
+    got, expected = quantile_series(ds, "mortality"), quantile_series(mini_dataset, "mortality")
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
 
 
 def test_quantile_series_matches_per_group_quantiles(mini_dataset):
@@ -653,7 +661,8 @@ def test_quantile_series_matches_per_group_quantiles(mini_dataset):
         for q, value in zip(levels, np.quantile(groups[scenario, step], levels, method="linear"))
     ]
     got = quantile_series(SweepDataset.from_rows(rows), "share_infected", levels)
-    assert [(r.scenario, r.step, r.quantile, r.value) for r in got] == expected
+    columns = (got[name].tolist() for name in ("step", "quantile", "value"))
+    assert list(zip(scenarios_of(got), *columns)) == expected
     assert {len(values) for values in groups.values()} == {1, 2, 3, 4}
 
 
@@ -668,30 +677,35 @@ def test_mortality_quantiles_never_decrease(mini_dataset):
     # cumulative metric: every quantile trace is monotone in the step
     rows = quantile_series(mini_dataset, "mortality")
     series = {}
-    for row in rows:
-        series.setdefault((row.scenario, row.quantile), []).append(
-            (row.step, row.value)
-        )
+    columns = (rows[name].tolist() for name in ("quantile", "step", "value"))
+    for scenario, quantile, step, value in zip(scenarios_of(rows), *columns):
+        series.setdefault((scenario, quantile), []).append((step, value))
     for trace in series.values():
         ordered = [v for _, v in sorted(trace)]
         assert all(a <= b + 1e-15 for a, b in zip(ordered, ordered[1:]))
 
 
-def test_notched_box_small_oracle():
+def _outlier_box():
+    """The box of one scenario whose values at step 7 hold one outlier."""
     values = (1.0, 2.0, 3.0, 4.0, 100.0)
     rows = [
         make_row(BASE_SCENARIO, rep, 7, mortality=v) for rep, v in enumerate(values)
     ]
-    ds = SweepDataset.from_rows(rows)
-    (box,) = notched_box(ds, "mortality", step=7)
-    assert box.scenario == BASE_SCENARIO
-    assert box.median == 3.0
-    assert (box.q1, box.q3) == (2.0, 4.0)
-    assert (box.whisker_low, box.whisker_high) == (1.0, 4.0)
-    assert box.outliers == (100.0,)
+    return notched_box(SweepDataset.from_rows(rows), "mortality", step=7)
+
+
+def test_notched_box_small_oracle():
+    boxes = _outlier_box()
+    assert boxes.dtype == BOX_DTYPE
+    assert scenarios_of(boxes) == [BASE_SCENARIO]
+    (box,) = boxes
+    assert box["median"] == 3.0
+    assert (box["q1"], box["q3"]) == (2.0, 4.0)
+    assert (box["whisker_low"], box["whisker_high"]) == (1.0, 4.0)
+    assert box["outliers"] == (100.0,)
     half = 1.58 * 2.0 / np.sqrt(5)
-    assert box.notch_low == pytest.approx(3.0 - half)
-    assert box.notch_high == pytest.approx(3.0 + half)
+    assert box["notch_low"] == pytest.approx(3.0 - half)
+    assert box["notch_high"] == pytest.approx(3.0 + half)
 
 
 def test_notched_box_requires_data_at_step(mini_dataset):
@@ -701,9 +715,9 @@ def test_notched_box_requires_data_at_step(mini_dataset):
 
 def test_notched_box_per_scenario(mini_dataset):
     boxes = notched_box(mini_dataset, "cumulative_infected_share", step=15)
-    assert [b.scenario for b in boxes] == sorted(mini_dataset.scenarios())
+    assert scenarios_of(boxes) == sorted(mini_dataset.scenarios())
     for b in boxes:
-        assert b.whisker_low <= b.q1 <= b.median <= b.q3 <= b.whisker_high
+        assert b["whisker_low"] <= b["q1"] <= b["median"] <= b["q3"] <= b["whisker_high"]
 
 
 # -- aggregate serialization -------------------------------------------------
@@ -714,15 +728,20 @@ def test_quantiles_round_trip(tmp_path, mini_dataset):
     path = tmp_path / "quantiles.csv"
     write_quantiles(rows, path)
     assert path.read_text().splitlines()[0] == ",".join(QUANTILE_COLUMNS)
-    assert read_quantiles(path) == rows
+    got = read_quantiles(path)
+    assert got.dtype == rows.dtype == QUANTILE_DTYPE
+    assert got.tolist() == rows.tolist()
 
 
 def test_boxes_round_trip(tmp_path, mini_dataset):
-    rows = notched_box(mini_dataset, "mortality", step=15)
+    rows = np.concatenate([notched_box(mini_dataset, "mortality", step=15), _outlier_box()])
+    assert [len(outliers) for outliers in rows["outliers"]] == [0, 0, 0, 0, 1]
     path = tmp_path / "boxes.csv"
     write_boxes(rows, path)
     assert path.read_text().splitlines()[0] == ",".join(BOX_COLUMNS)
-    assert read_boxes(path) == rows
+    got = read_boxes(path)
+    assert got.dtype == rows.dtype == BOX_DTYPE
+    assert got.tolist() == rows.tolist()
 
 
 # each edit breaks the data line at file line 5, the last of four boxes
@@ -752,29 +771,18 @@ def test_read_boxes_names_the_rejected_line(tmp_path, mini_dataset, edit, blank_
         read_boxes(path)
 
 
-def test_boxes_round_trip_with_outliers(tmp_path):
-    values = (1.0, 2.0, 3.0, 4.0, 100.0)
-    rows = [
-        make_row(BASE_SCENARIO, rep, 7, mortality=v) for rep, v in enumerate(values)
-    ]
-    boxes = notched_box(SweepDataset.from_rows(rows), "mortality", step=7)
-    path = tmp_path / "boxes.csv"
-    write_boxes(boxes, path)
-    assert read_boxes(path) == boxes
-
-
 @pytest.mark.parametrize("existing", [None, "an earlier dataset\n"], ids=["new", "existing"])
 def test_stopped_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, mini_dataset, existing):
     path = tmp_path / "dataset.csv"
     if existing is not None:
         path.write_text(existing)
-    full_text = montecarlo._dataset_text
+    full_text = montecarlo._table_text
 
-    def stops_after_one_block(table):
-        yield next(full_text(table))
+    def stops_after_one_block(table, split):
+        yield next(full_text(table, split))
         raise RuntimeError("stopped")
 
-    monkeypatch.setattr(montecarlo, "_dataset_text", stops_after_one_block)
+    monkeypatch.setattr(montecarlo, "_table_text", stops_after_one_block)
     with pytest.raises(RuntimeError, match="stopped"):
         write_dataset(mini_dataset, path)
     if existing is None:

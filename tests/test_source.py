@@ -40,3 +40,34 @@ def test_every_import_is_used(module):
     used |= _exported_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """The module-level ``_name`` each def, class or assignment binds,
+    mapped to its line; dunder names are not private."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_used(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = {name: line for name, line in _private_definitions(tree).items() if name not in read}
+    assert not unused, f"{module} defines private names it never uses: {unused}"
