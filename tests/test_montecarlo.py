@@ -744,6 +744,16 @@ def test_boxes_round_trip(tmp_path, mini_dataset):
     assert got.tolist() == rows.tolist()
 
 
+def test_boxes_round_trip_with_outliers(tmp_path):
+    boxes = _outlier_box()
+    assert boxes["outliers"][0] == (100.0,)
+    path = tmp_path / "boxes.csv"
+    write_boxes(boxes, path)
+    got = read_boxes(path)
+    assert got.dtype == boxes.dtype == BOX_DTYPE
+    assert got.tolist() == boxes.tolist()
+
+
 # each edit breaks the data line at file line 5, the last of four boxes
 @pytest.mark.parametrize(
     "edit",
