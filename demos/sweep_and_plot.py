@@ -25,15 +25,13 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 
 def main():
     grid = SweepGrid(
-        base=SimParams(n_agents=2000, n_initial_infected=5, seed=7),
+        base=SimParams(n_agents=2000, n_initial_infected=5, horizon=150, seed=42),
         mutation_prob=(0.0, 0.02),
         cross_immunity=(0.5,),
         cross_protection=(0.99,),
         isolate_symptomatic=(False,),
         social_distancing=(0.0, 0.4),
         replications=5,
-        horizon=150,
-        base_seed=42,
     )
     n_scenarios = len(grid.scenarios())
     print(f"sweeping {n_scenarios} scenarios x {grid.replications} replications "

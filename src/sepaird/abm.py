@@ -80,16 +80,13 @@ class World:
         self.ever_infected = np.zeros(n, dtype=bool)
         self.immune = np.zeros((n, 8), dtype=bool)
         self.active_count = np.zeros(8, dtype=np.int64)
-        self.n_living = n
         self.cum_infections = 0
         self.cum_deaths = 0
+        # the seed infections are all wild type
         self.last_active_variants: tuple = (0,)
         self.events = [] if log_events else None
         for agent in range(p.n_initial_infected):
             self._infect(agent, 0)
-        active = self.active_variants()
-        if active.size:
-            self.last_active_variants = tuple(int(x) for x in active)
 
     # -- derived views ------------------------------------------------
 
@@ -98,12 +95,18 @@ class World:
         return int(self.active_count[: self.registry.n_variants].sum())
 
     @property
+    def n_living(self) -> int:
+        return self.params.n_agents - self.cum_deaths
+
+    @property
     def cum_mutations(self) -> int:
-        return self.registry.n_mutations
+        """Every variant but the wild type came from one mutation."""
+        return self.registry.n_variants - 1
 
     @property
     def cum_drifts(self) -> int:
-        return self.registry.n_drifts
+        """Every cluster but the root came from one drift."""
+        return self.registry.n_clusters - 1
 
     def active_variants(self) -> np.ndarray:
         """Variant ids with at least one active infection, ascending."""
@@ -123,7 +126,6 @@ class World:
         self.counter[agent] = 0
         self.latent_end[agent], self.symptom_day[agent], self.end_day[agent] = marks
         self.symptomatic[agent] = _UNDETERMINED
-        self.isolated[agent] = False
         self.ever_infected[agent] = True
         self.active_count[variant] += 1
         self.cum_infections += 1
@@ -246,7 +248,6 @@ class World:
         self.isolated[ending] = False
         dead = ending[dies]
         self.alive[dead] = False
-        self.n_living -= dead.size
         self.cum_deaths += dead.size
         survives = ~dies
         for agent, cluster in zip(ending[survives].tolist(), clusters[survives].tolist()):

@@ -3,12 +3,13 @@
 A sweep expands a parameter grid into scenarios (cartesian product over
 mutation probability, the two cross-immunity strengths, isolation, and
 social distancing), runs every scenario for a fixed number of
-replications, and collects one row of metrics per simulation step.  Each
-replication's seed is derived from the base seed and the scenario
-content, so results never depend on grid order, execution order, or the
-number of worker processes.  One generator, ``_replications``, lists the
-replications and their seeds in canonical order for the sweep tasks and
-the manifest.
+replications, and collects one row of metrics per simulation step.  The
+grid's base parameters hold every other fact of a run, the horizon and
+the base seed included.  Each replication's seed is derived from the base
+seed and the scenario content, so results never depend on grid order,
+execution order, or the number of worker processes.  One generator,
+``_replications``, lists the replications and their seeds in canonical
+order for the sweep tasks and the manifest.
 
 A replication fills its own block of the dataset table.  ``metric_row``
 observes its steps up to the first extinct one, returning each row's
@@ -36,9 +37,10 @@ compare equal are spelled, keyed and seeded alike.  One writer,
 ``_write_table``, formats a table column by column in blocks, the cells on
 either side of one column once per run of rows whose bytes on that side
 are equal, and ``write_atomically`` writes it to ``<path>.partial`` and
-renames that to the path once complete.  One reader, ``_read_columns``,
-parses a CSV in one call and rejects a malformed line, a non-finite
-required cell or outlier, with its line number.
+renames that to the path once complete, or removes it if the write fails.
+One reader, ``_read_columns``, parses a CSV in one call and rejects a
+malformed line, a non-finite required cell or outlier, with its line
+number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -152,17 +154,18 @@ def metric_row(w, replication: int, memo: dict | None = None) -> tuple:
     """Observe a world after a step: the values of its row, in
     ``CSV_COLUMNS`` order.  ``memo`` is passed to ``active_variant_stats``."""
     n = w.params.n_agents
+    n_infected = w.n_infected
     stats = active_variant_stats(w, memo)
     return (
         *_scenario_values(w.params),
         replication,
         w.step_index,
-        w.n_infected / n,
+        n_infected / n,
         w.cum_deaths / n,
         int(w.ever_infected.sum()) / n,
         *stats[:_N_VARIANT_COLUMNS],
-        stats.n_variants if not stats.extinct else 0,
-        w.n_infected == 0,
+        stats.n_variants if n_infected else 0,
+        n_infected == 0,
     )
 
 
@@ -199,7 +202,8 @@ def collect_world_run(w, replication: int = 0) -> np.ndarray:
 @dataclass(frozen=True)
 class SweepGrid:
     """Base parameters plus the value list of each scenario field, in
-    ``SCENARIO_FIELDS`` order."""
+    ``SCENARIO_FIELDS`` order.  The horizon and the base seed are the
+    base's own."""
 
     base: SimParams
     mutation_prob: tuple = (0.0, 0.005, 0.01, 0.02)
@@ -208,8 +212,14 @@ class SweepGrid:
     isolate_symptomatic: tuple = (False, True)
     social_distancing: tuple = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8)
     replications: int = 100
-    horizon: int = 500
-    base_seed: int = 42
+
+    @property
+    def horizon(self) -> int:
+        return self.base.horizon
+
+    @property
+    def base_seed(self) -> int:
+        return self.base.seed
 
     def scenarios(self) -> list:
         axes = (getattr(self, name) for name in SCENARIO_FIELDS)
@@ -225,11 +235,8 @@ def validate_grid(g: SweepGrid) -> SweepGrid:
             raise DatasetError(f"grid dimension {name} lists a value twice")
     if g.replications < 1:
         raise DatasetError("replications must be >= 1")
-    if g.horizon < 1:
-        raise DatasetError("horizon must be >= 1")
-    base = dataclasses.replace(g.base, horizon=g.horizon)
     for scenario in g.scenarios():
-        validate_params(scenario.apply(base))
+        validate_params(scenario.apply(g.base))
     return g
 
 
@@ -257,9 +264,7 @@ def grid_from_text(text: str, base: SimParams, replications: int = 100) -> Sweep
         if len(set(values)) < len(values):
             raise DatasetError(f"grid line {lineno}: {key!r} lists a value twice")
         axes[key] = values
-    return SweepGrid(
-        base=base, replications=replications, horizon=base.horizon, base_seed=base.seed, **axes
-    )
+    return SweepGrid(base=base, replications=replications, **axes)
 
 
 def replication_seed(base_seed: int, scenario: Scenario, replication: int) -> int:
@@ -278,9 +283,8 @@ def _sweep_tasks(grid: SweepGrid):
 
     A generator, so a large grid never holds one SimParams per task at once.
     """
-    base = dataclasses.replace(grid.base, horizon=grid.horizon)
     for index, (scenario, replication, seed) in enumerate(_replications(grid)):
-        yield index, dataclasses.replace(scenario.apply(base), seed=seed), replication
+        yield index, dataclasses.replace(scenario.apply(grid.base), seed=seed), replication
 
 
 def _sweep_task(task):
@@ -328,12 +332,12 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     """
     validate_sweep(grid, jobs)
     total = len(grid.scenarios()) * grid.replications
-    horizon = grid.horizon
-    table = np.empty(total * horizon, dtype=DATASET_DTYPE)
+    # row i holds the block of the replication with canonical index i
+    table = np.empty((total, grid.horizon), dtype=DATASET_DTYPE)
 
     def collect(results):
         for done, (index, block) in enumerate(results, start=1):
-            table[index * horizon : (index + 1) * horizon] = block
+            table[index] = block
             if progress is not None:
                 progress(done, total)
 
@@ -342,7 +346,7 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
             collect(pool.imap_unordered(_sweep_task, _sweep_tasks(grid)))
-    return SweepDataset(table)
+    return SweepDataset(table.reshape(-1))
 
 
 # -- serialization ----------------------------------------------------------
@@ -361,11 +365,17 @@ _CELL_FORMATS = {
 def write_atomically(path, text) -> None:
     """Write the strings of ``text`` to ``<path>.partial``, which replaces
     ``path`` only once all are written, so a write that stops early leaves
-    ``path`` as it was."""
+    ``path`` as it was.  A write that raises, ``KeyboardInterrupt`` too,
+    removes its partial file."""
     partial = f"{os.fspath(path)}.partial"
-    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(text)
-    os.replace(partial, path)
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(text)
+        os.replace(partial, path)
+    finally:
+        # left only by a write that raised
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 # rows formatted per block: a column formatted whole would hold one Python

@@ -1,4 +1,4 @@
-"""Tree distances and variant-level fitness metrics.
+"""Variant-level fitness metrics and the active-variant summary.
 
 Every function here is read-only over a Registry (or a World snapshot)
 and safe for concurrent use; ``active_variant_stats`` writes only to the
@@ -21,13 +21,6 @@ from .variants import (
     SYMPTOMATIC_CHANCE,
     Registry,
 )
-
-
-def _known_id(ident: int, count: int, kind: str) -> int:
-    """``ident`` if it is one of the dense ids ``0 .. count-1``, else KeyError."""
-    if not 0 <= ident < count:
-        raise KeyError(f"unknown {kind} id {ident}")
-    return ident
 
 
 def variant_r0(props: np.ndarray, eta: int) -> float:
@@ -69,37 +62,6 @@ def _r0_arrays(props: np.ndarray, eta: int):
     adapted = eta * i * (full - sympt * (full - cut))
     ratio = np.where(r0 > 0.0, adapted / np.where(r0 > 0.0, r0, 1.0), 1.0)
     return r0, adapted, ratio
-
-
-def phylogenetic_distance(registry: Registry, variant: int) -> int:
-    """Mutation count separating a variant from the wild type."""
-    return int(registry.variant_depth[_known_id(variant, registry.n_variants, "variant")])
-
-
-def antigenic_distance(registry: Registry, a: int, b: int) -> int:
-    """Path length between two clusters in the antigenic tree.
-
-    Walks the deeper node up to the depth of the shallower, then both up
-    in lockstep to the lowest common ancestor.
-    """
-    parents = registry.cluster_parents
-    depths = registry.cluster_depths
-    da = depths[_known_id(a, registry.n_clusters, "cluster")]
-    db = depths[_known_id(b, registry.n_clusters, "cluster")]
-    dist = 0
-    while da > db:
-        a = parents[a]
-        da -= 1
-        dist += 1
-    while db > da:
-        b = parents[b]
-        db -= 1
-        dist += 1
-    while a != b:
-        a = parents[a]
-        b = parents[b]
-        dist += 2
-    return dist
 
 
 class ActiveVariantSummary(NamedTuple):

@@ -159,14 +159,6 @@ class Registry:
         """Deepest antigenic cluster ever created (never decreases)."""
         return int(self.cluster_depths.max())
 
-    @property
-    def n_mutations(self) -> int:
-        return self.n_variants - 1
-
-    @property
-    def n_drifts(self) -> int:
-        return self.n_clusters - 1
-
 
 def spawn_variant(
     registry: Registry,

@@ -235,8 +235,8 @@ def test_mutation_without_drift_keeps_cluster(tiny_params):
 def test_every_infection_mutates_when_certain(tiny_params):
     p = tiny_params(mutation_prob=1.0, drift_prob=1.0, horizon=30)
     w = run(init_world(p))
-    assert w.registry.n_mutations == w.cum_infections - p.n_initial_infected
-    assert w.registry.n_drifts == w.registry.n_mutations
+    assert w.cum_mutations == w.cum_infections - p.n_initial_infected
+    assert w.cum_drifts == w.cum_mutations
 
 
 def test_zero_mutation_prob_keeps_single_variant(tiny_params):
@@ -379,8 +379,8 @@ def test_event_log_matches_counters(tiny_params):
     names = [e[1] for e in w.events]
     assert set(names) <= {"infection", "mutation", "drift", "death", "recovery"}
     assert names.count("infection") == w.cum_infections
-    assert names.count("mutation") == w.registry.n_mutations
-    assert names.count("drift") == w.registry.n_drifts
+    assert names.count("mutation") == w.cum_mutations
+    assert names.count("drift") == w.cum_drifts
     assert names.count("death") == w.cum_deaths
     assert names.count("recovery") == w.cum_infections - w.cum_deaths - w.n_infected
     steps = [e[0] for e in w.events]

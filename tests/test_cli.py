@@ -476,6 +476,7 @@ def test_stopped_write_leaves_an_earlier_output_as_it_was(config, quantile_table
     assert main([*argv, "--out", str(out)]) == 3
     assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
     assert out.read_text() == "an earlier output\n"
+    assert not list(tmp_path.glob("*.partial"))
 
 
 def test_plot_requires_kind(quantile_table, tmp_path):

@@ -115,15 +115,13 @@ def test_ode_csv_is_pinned(tmp_path):
 @pytest.fixture(scope="module")
 def tiny_sweep():
     grid = SweepGrid(
-        base=SimParams(n_agents=200, n_initial_infected=5, seed=7),
+        base=SimParams(n_agents=200, n_initial_infected=5, horizon=20, seed=42),
         mutation_prob=(0.0, 0.05),
         cross_immunity=(0.5,),
         cross_protection=(0.99,),
         isolate_symptomatic=(False, True),
         social_distancing=(0.0,),
         replications=3,
-        horizon=20,
-        base_seed=42,
     )
     return grid, sweep(grid)
 
@@ -147,15 +145,13 @@ def test_quantile_svg_is_pinned(tiny_sweep):
 
 def test_subcritical_sweep_is_pinned(tmp_path):
     grid = SweepGrid(
-        base=SimParams(n_agents=500, seed=7),
+        base=SimParams(n_agents=500, horizon=150, seed=42),
         mutation_prob=(0.0, 0.05),
         cross_immunity=(0.9,),
         cross_protection=(0.99,),
         isolate_symptomatic=(False,),
         social_distancing=(0.6, 0.8),
         replications=4,
-        horizon=150,
-        base_seed=42,
     )
     dataset = sweep(grid)
     extinct = [row.extinct for row in dataset.rows]

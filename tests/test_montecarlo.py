@@ -34,6 +34,7 @@ from sepaird.montecarlo import (
     replication_seed,
     sweep,
     validate_grid,
+    write_atomically,
     write_boxes,
     write_dataset,
     write_manifest,
@@ -85,7 +86,7 @@ def scenarios_of(table):
 
 @pytest.fixture(scope="module")
 def mini_grid():
-    base = SimParams(n_agents=200, n_initial_infected=5, seed=7)
+    base = SimParams(n_agents=200, n_initial_infected=5, horizon=15, seed=42)
     return SweepGrid(
         base=base,
         mutation_prob=(0.0, 0.05),
@@ -94,8 +95,6 @@ def mini_grid():
         isolate_symptomatic=(False,),
         social_distancing=(0.0, 0.4),
         replications=2,
-        horizon=15,
-        base_seed=42,
     )
 
 
@@ -176,7 +175,7 @@ def test_grid_enumerates_full_product(mini_grid):
 
 def test_grid_axes_are_the_scenario_fields():
     names = tuple(f.name for f in dataclasses.fields(SweepGrid))
-    assert names[1 : 1 + len(SCENARIO_FIELDS)] == SCENARIO_FIELDS
+    assert names == ("base", *SCENARIO_FIELDS, "replications")
 
 
 def test_variant_summary_is_in_row_order():
@@ -201,8 +200,9 @@ def test_validate_grid_rejects_bad_shapes(mini_grid):
         validate_grid(dataclasses.replace(mini_grid, mutation_prob=()))
     with pytest.raises(DatasetError, match="replications"):
         validate_grid(dataclasses.replace(mini_grid, replications=0))
-    with pytest.raises(DatasetError, match="horizon"):
-        validate_grid(dataclasses.replace(mini_grid, horizon=0))
+    no_steps = dataclasses.replace(mini_grid.base, horizon=0)
+    with pytest.raises(ConfigError, match="horizon"):
+        validate_grid(dataclasses.replace(mini_grid, base=no_steps))
     with pytest.raises(ConfigError):
         validate_grid(dataclasses.replace(mini_grid, social_distancing=(1.5,)))
     with pytest.raises(DatasetError, match="mutation_prob lists a value twice"):
@@ -218,15 +218,17 @@ def test_grid_from_text_full(base_params):
 
     social_distancing = 0.0, 0.5
     """
-    grid = grid_from_text(text, base_params, replications=7)
+    # not the defaults, so the grid must read them from its base
+    base = dataclasses.replace(base_params, horizon=30, seed=9)
+    grid = grid_from_text(text, base, replications=7)
     assert grid.mutation_prob == (0.0, 0.01)
     assert grid.cross_immunity == (0.9,)
     assert grid.cross_protection == (base_params.cross_protection,)
     assert grid.isolate_symptomatic == (False, True)
     assert grid.social_distancing == (0.0, 0.5)
     assert grid.replications == 7
-    assert grid.horizon == base_params.horizon
-    assert grid.base_seed == base_params.seed
+    assert grid.base is base
+    assert (grid.horizon, grid.base_seed) == (30, 9)
 
 
 def test_grid_from_text_trailing_commas(base_params):
@@ -338,17 +340,16 @@ def test_sweep_task_returns_one_table_block(mini_grid):
 def test_sweep_holds_the_table_once():
     # runs that die out early on a long horizon: the table dwarfs one world
     grid = SweepGrid(
-        base=SimParams(n_agents=50, n_initial_infected=1, seed=3),
+        base=SimParams(n_agents=50, n_initial_infected=1, horizon=2000, seed=42),
         mutation_prob=(0.0,),
         cross_immunity=(0.5,),
         cross_protection=(0.99,),
         isolate_symptomatic=(False,),
         social_distancing=(0.8,),
         replications=8,
-        horizon=2000,
     )
     # the first sweep of a process imports modules that would count too
-    sweep(dataclasses.replace(grid, replications=1, horizon=5))
+    sweep(dataclasses.replace(grid, base=dataclasses.replace(grid.base, horizon=5), replications=1))
     tracemalloc.start()
     try:
         dataset = sweep(grid)
@@ -360,7 +361,8 @@ def test_sweep_holds_the_table_once():
 
 def test_sweep_progress_callback(mini_grid):
     ticks = []
-    sweep(dataclasses.replace(mini_grid, replications=1, horizon=3),
+    short = dataclasses.replace(mini_grid.base, horizon=3)
+    sweep(dataclasses.replace(mini_grid, base=short, replications=1),
           progress=lambda done, total: ticks.append((done, total)))
     assert ticks == [(i, 4) for i in range(1, 5)]
 
@@ -799,6 +801,17 @@ def test_stopped_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, mini_dat
         assert not path.exists()
     else:
         assert path.read_text() == existing
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_interrupted_write_removes_its_partial_file(tmp_path):
+    def interrupted():
+        yield "a first line\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_atomically(tmp_path / "out.csv", interrupted())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_lists_every_replication(tmp_path, mini_grid):

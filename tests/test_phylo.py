@@ -6,8 +6,6 @@ from sepaird.abm import init_world, run
 from sepaird.params import SimParams
 from sepaird.phylo import (
     active_variant_stats,
-    antigenic_distance,
-    phylogenetic_distance,
     summarize_variants,
     variant_r0,
     variant_r0_adapted,
@@ -92,51 +90,6 @@ def chain_registry(depth):
     return reg, vid
 
 
-def test_phylogenetic_distance_counts_mutations():
-    reg, tip = chain_registry(5)
-    assert phylogenetic_distance(reg, 0) == 0
-    assert phylogenetic_distance(reg, tip) == 5
-    with pytest.raises(KeyError):
-        phylogenetic_distance(reg, tip + 1)
-
-
-def test_antigenic_distance_on_small_tree():
-    reg = Registry(WILD)
-    c1 = reg.add_cluster(0)
-    c2 = reg.add_cluster(0)
-    c3 = reg.add_cluster(c1)
-    assert antigenic_distance(reg, 0, 0) == 0
-    assert antigenic_distance(reg, 0, c1) == 1
-    assert antigenic_distance(reg, c1, c2) == 2
-    assert antigenic_distance(reg, c3, c2) == 3
-    assert antigenic_distance(reg, 0, c3) == 2
-    assert antigenic_distance(reg, c3, c1) == 1
-
-
-def test_antigenic_distance_rejects_unknown_cluster():
-    reg = Registry(WILD)
-    with pytest.raises(KeyError):
-        antigenic_distance(reg, 0, 5)
-    with pytest.raises(KeyError):
-        antigenic_distance(reg, -1, 0)
-
-
-@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=40), st.randoms())
-def test_antigenic_distance_is_a_tree_metric(raw_parents, pick):
-    reg = Registry(WILD)
-    for draw in raw_parents:
-        reg.add_cluster(draw % reg.n_clusters)
-    ids = [pick.randrange(reg.n_clusters) for _ in range(3)]
-    a, b, c = ids
-    assert antigenic_distance(reg, a, a) == 0
-    assert antigenic_distance(reg, a, b) == antigenic_distance(reg, b, a)
-    ab = antigenic_distance(reg, a, b)
-    bc = antigenic_distance(reg, b, c)
-    ac = antigenic_distance(reg, a, c)
-    assert ac <= ab + bc
-    assert antigenic_distance(reg, a, 0) == reg.cluster_depths[a]
-
-
 # -- per-variant and aggregate stats ------------------------------------
 
 
@@ -171,9 +124,8 @@ def test_summary_matches_per_variant_means():
     assert not summary.extinct
     assert summary.mean_r0 == pytest.approx(np.mean(r0s))
     assert summary.mean_adapted_ratio == pytest.approx(np.mean(ratios))
-    assert summary.mean_phylo_distance == pytest.approx(
-        np.mean([phylogenetic_distance(reg, int(v)) for v in ids])
-    )
+    # variant v of the chain is v mutations deep
+    assert summary.mean_phylo_distance == pytest.approx(np.mean(ids))
     assert summary.max_antigenic_distance == 6
     assert summary.mean_infectiousness == pytest.approx(
         np.mean([rows[v, INFECTIOUSNESS] for v in ids])

@@ -83,8 +83,6 @@ def test_registry_initial_state():
     reg = Registry(WILD)
     assert reg.n_variants == 1
     assert reg.n_clusters == 1
-    assert reg.n_mutations == 0
-    assert reg.n_drifts == 0
     assert reg.variant_parents.tolist() == [-1]
     assert reg.variant_cluster.tolist() == [0]
     assert reg.variant_depth.tolist() == [0]
@@ -110,7 +108,7 @@ def test_spawn_with_drift_opens_child_cluster():
     assert reg.variant_cluster[vid] == 1
     assert reg.cluster_parents[1] == 0
     assert reg.cluster_depths[1] == 1
-    assert reg.n_drifts == 1
+    assert reg.n_clusters - 1 == 1
 
 
 def test_registry_tree_invariants_after_random_growth():
@@ -123,8 +121,8 @@ def test_registry_tree_invariants_after_random_growth():
         drifts += drift
         spawn_variant(reg, parent, drift, theta=0.0, sigma_i=0.3, rng=rng)
     assert reg.n_variants == 301
-    assert reg.n_mutations == 300
-    assert reg.n_drifts == drifts
+    assert reg.n_variants - 1 == 300
+    assert reg.n_clusters - 1 == drifts
     assert reg.n_clusters == 1 + drifts
     parents, clusters, depths = reg.variant_parents, reg.variant_cluster, reg.variant_depth
     assert parents[0] == -1
