@@ -8,7 +8,7 @@ Library layers:
   the phylogenetic and antigenic-cluster registries.
 - ``ode``: deterministic SEPAIRD compartmental reference model.
 - ``abm``: the agent-based evolutionary engine.
-- ``phylo``: tree distances and variant fitness metrics.
+- ``phylo``: per-variant reproduction numbers and active-variant summaries.
 - ``montecarlo``: replicated sweeps, quantile and box aggregation.
 - ``svg``: deterministic chart rendering.
 - ``cli``: the ``sepaird`` command.

@@ -6,11 +6,13 @@ meet random living agents, infections may mutate and drift) followed by
 a progression phase (counters advance, symptoms appear, courses resolve
 into death or recovery with recursive cross-immunity).
 
-Agent state is stored column-wise, one numpy array per fact; a course's
-three day marks are drawn as one tuple of ints.  A world with no active
-infection is absorbing: its later steps only advance ``step_index``.  A
-``World`` is confined to a single execution context for its whole run;
-parallelism lives one level up, across independent replications.
+Agent state is stored column-wise, one numpy array per fact; facts that
+follow from others (the isolation flags, the living and dead counts) are
+derived from them on read.  A course's three day marks are drawn as one
+tuple of ints.  A world with no active infection is absorbing: its later
+steps only advance ``step_index``.  A ``World`` is confined to a single
+execution context for its whole run; parallelism lives one level up,
+across independent replications.
 """
 
 from __future__ import annotations
@@ -76,12 +78,10 @@ class World:
         self.symptom_day = np.zeros(n, dtype=np.int64)
         self.end_day = np.zeros(n, dtype=np.int64)
         self.symptomatic = np.full(n, _UNDETERMINED, dtype=np.int8)
-        self.isolated = np.zeros(n, dtype=bool)
         self.ever_infected = np.zeros(n, dtype=bool)
         self.immune = np.zeros((n, 8), dtype=bool)
         self.active_count = np.zeros(8, dtype=np.int64)
         self.cum_infections = 0
-        self.cum_deaths = 0
         # the seed infections are all wild type
         self.last_active_variants: tuple = (0,)
         self.events = [] if log_events else None
@@ -96,7 +96,22 @@ class World:
 
     @property
     def n_living(self) -> int:
-        return self.params.n_agents - self.cum_deaths
+        return int(np.count_nonzero(self.alive))
+
+    @property
+    def cum_deaths(self) -> int:
+        return self.params.n_agents - self.n_living
+
+    @property
+    def isolated(self) -> np.ndarray:
+        """Symptomatic agents with an active course while the isolation
+        policy is on; all false otherwise.  A fresh read-only array."""
+        if self.params.isolate_symptomatic:
+            flags = (self.symptomatic == 1) & (self.variant_of >= 0)
+        else:
+            flags = np.zeros(self.params.n_agents, dtype=bool)
+        flags.flags.writeable = False
+        return flags
 
     @property
     def cum_mutations(self) -> int:
@@ -183,9 +198,10 @@ class World:
         transmission roll beats ``infectiousness * (1 - distancing)``.
         An agent infected earlier in the phase blocks later attempts.
         """
-        infected = self.variant_of >= 0
-        window = (self.latent_end <= self.counter) & (self.counter < self.end_day)
-        carriers = np.where(infected & window & ~self.isolated)[0]
+        infected = np.where(self.variant_of >= 0)[0]
+        count = self.counter[infected]
+        window = (self.latent_end[infected] <= count) & (count < self.end_day[infected])
+        carriers = infected[window & ~self.isolated[infected]]
         if carriers.size == 0 or self.n_living <= 1:
             return
         living = np.where(self.alive)[0]
@@ -211,8 +227,7 @@ class World:
         """Advance every active infection by one day and fire due events.
 
         Counters increment first.  Courses at or past their symptom day
-        (when it precedes the end day) draw the symptomatic flag once;
-        symptomatic agents are isolated under the isolation policy.
+        (when it precedes the end day) draw the symptomatic flag once.
         Courses at or past their end day resolve: death with probability
         ``fatality``, cut by ``1 - cross_protection`` for agents holding
         any immunity, otherwise recovery with immunity propagation.
@@ -230,10 +245,7 @@ class World:
         props = self.registry.props_matrix
         if symptoms_due.size:
             chance = np.minimum(props[self.variant_of[symptoms_due], SYMPTOMATIC_CHANCE], 1.0)
-            flags = self.rng.uniform(size=symptoms_due.size) < chance
-            self.symptomatic[symptoms_due] = flags.astype(np.int8)
-            if self.params.isolate_symptomatic:
-                self.isolated[symptoms_due[flags]] = True
+            self.symptomatic[symptoms_due] = self.rng.uniform(size=symptoms_due.size) < chance
         ending = infected[self.counter[infected] >= self.end_day[infected]]
         if ending.size == 0:
             return
@@ -245,10 +257,7 @@ class World:
         clusters = self.registry.variant_cluster[variants]
         np.subtract.at(self.active_count, variants, 1)
         self.variant_of[ending] = _NO_INFECTION
-        self.isolated[ending] = False
-        dead = ending[dies]
-        self.alive[dead] = False
-        self.cum_deaths += dead.size
+        self.alive[ending[dies]] = False
         survives = ~dies
         for agent, cluster in zip(ending[survives].tolist(), clusters[survives].tolist()):
             self.grant_immunity(agent, cluster)

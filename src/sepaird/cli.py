@@ -2,7 +2,8 @@
 
 Subcommands: run (single replication), sweep (grid of replicated runs),
 ode (reference trajectory), analyze (quantile/box aggregation), plot
-(SVG charts).  Exit codes: 0 ok, 2 usage or config error, 3 I/O error.
+(SVG charts).  Exit codes: 0 ok, 2 usage or config error (an allocation
+the parameters ask for that fails too), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DatasetError, OdeError, UnicodeDecodeError) as exc:
+    # an allocation too large for this machine comes from the parameters
+    except (ConfigError, DatasetError, OdeError, UnicodeDecodeError, MemoryError) as exc:
         print(f"sepaird {args.command}: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:

@@ -278,17 +278,11 @@ def _replications(grid: SweepGrid):
             yield scenario, replication, replication_seed(grid.base_seed, scenario, replication)
 
 
-def _sweep_tasks(grid: SweepGrid):
-    """Yield (canonical index, final SimParams, replication) per replication.
-
-    A generator, so a large grid never holds one SimParams per task at once.
-    """
-    for index, (scenario, replication, seed) in enumerate(_replications(grid)):
-        yield index, dataclasses.replace(scenario.apply(grid.base), seed=seed), replication
-
-
-def _sweep_task(task):
-    index, p, replication = task
+def _sweep_task(base: SimParams, task) -> tuple:
+    """Run task ``(canonical index, (scenario, replication, seed))`` of
+    ``enumerate(_replications(grid))`` on ``base``: its index and block."""
+    index, (scenario, replication, seed) = task
+    p = dataclasses.replace(scenario.apply(base), seed=seed)
     return index, collect_world_run(init_world(p), replication)
 
 
@@ -316,9 +310,13 @@ class SweepDataset:
 
 
 def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
-    """Return ``grid`` unchanged if it can be swept by ``jobs`` workers."""
+    """Return ``grid`` unchanged if it can be swept by ``jobs`` workers
+    into a table numpy can address."""
     if jobs < 1:
         raise DatasetError(f"jobs must be >= 1, got {jobs}")
+    rows = len(grid.scenarios()) * grid.replications * grid.horizon
+    if rows * DATASET_DTYPE.itemsize > np.iinfo(np.intp).max:
+        raise DatasetError(f"a table of {rows} rows is too large to allocate")
     return validate_grid(grid)
 
 
@@ -341,11 +339,14 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
             if progress is not None:
                 progress(done, total)
 
+    run_task = functools.partial(_sweep_task, grid.base)
+    # a generator, so a large grid never holds one task per replication at once
+    tasks = enumerate(_replications(grid))
     if jobs == 1:
-        collect(map(_sweep_task, _sweep_tasks(grid)))
+        collect(map(run_task, tasks))
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
-            collect(pool.imap_unordered(_sweep_task, _sweep_tasks(grid)))
+            collect(pool.imap_unordered(run_task, tasks))
     return SweepDataset(table.reshape(-1))
 
 
@@ -379,7 +380,8 @@ def write_atomically(path, text) -> None:
 
 
 # rows formatted per block: a column formatted whole would hold one Python
-# object per cell of the table at once
+# object per cell of the table at once; a rejected table is parsed again in
+# blocks of as many lines
 _WRITE_BLOCK = 4096
 
 
@@ -515,11 +517,19 @@ def _holds_nul(path) -> bool:
         return any(b"\x00" in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
 
 
+def _check_lines(lines, dtype: np.dtype, finite) -> None:
+    """Raise ValueError if ``_parse_lines`` rejects ``lines`` or one holds a NUL."""
+    if any("\x00" in line for line in lines):
+        raise ValueError("NUL character")
+    _parse_lines(lines, dtype, finite)
+
+
 def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
     """Every non-blank line under an exact header of ``dtype``'s columns,
-    parsed by ``_parse_lines``; a rejected file is parsed again, line by
-    line, only to name the first line at fault.  A line that holds a NUL is
-    rejected."""
+    parsed by ``_parse_lines``; a rejected file is parsed again, in blocks
+    of ``_WRITE_BLOCK`` lines and then line by line within the first block
+    rejected, only to name the first line at fault.  A line that holds a
+    NUL is rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(fh, dtype.names)
         try:
@@ -530,14 +540,19 @@ def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
             error = exc
         fh.seek(0)
         fh.readline()
-        for lineno, line in enumerate(fh, start=2):
+        first = 2
+        while block := list(itertools.islice(fh, _WRITE_BLOCK)):
             try:
-                if "\x00" in line:
-                    raise ValueError("NUL character")
-                _parse_lines([line], dtype, finite)
-            except ValueError as exc:
-                # numpy's own position is within this one line
-                raise DatasetError(f"line {lineno}: {str(exc).partition(' at row ')[0]}") from None
+                _check_lines(block, dtype, finite)
+            except ValueError:
+                for lineno, line in enumerate(block, start=first):
+                    try:
+                        _check_lines([line], dtype, finite)
+                    except ValueError as exc:
+                        # numpy's own position is within this one line
+                        message = str(exc).partition(" at row ")[0]
+                        raise DatasetError(f"line {lineno}: {message}") from None
+            first += len(block)
     raise DatasetError(f"bad table ({error})")
 
 

@@ -161,22 +161,18 @@ def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) ->
     return Trajectory(times=times, states=states, clip_count=clip_count)
 
 
-def _r0_formula(beta, gamma, mu, nu, delta, isolate) -> float:
-    symptomatic_term = beta * (1.0 - nu) / gamma if isolate else beta / gamma
-    return (beta / mu + symptomatic_term) * (1.0 - delta)
-
-
 def basic_reproduction(p: OdeParams) -> float:
-    """Secondary infections of one case in a fully susceptible population."""
-    return _r0_formula(p.beta, p.gamma, p.mu, p.nu, p.delta, p.isolate)
+    """Secondary infections of one case in a fully susceptible population:
+    ``(1 - delta) * (beta / mu + sigma * beta / gamma)``, where ``sigma``,
+    the share of courses that still transmit after the pre-symptomatic
+    phase, is ``1 - nu`` under isolation and 1 otherwise."""
+    sigma = 1.0 - p.nu if p.isolate else 1.0
+    return (p.beta / p.mu + p.beta * sigma / p.gamma) * (1.0 - p.delta)
 
 
 def effective_reproduction(y, p: OdeParams) -> float:
     """Reproduction number scaled by the current susceptible share."""
     return float(basic_reproduction(p) * y[0] / _living(y))
-
-
-SENSITIVITY_QUANTITIES = ("beta", "gamma", "mu", "nu", "S", "N")
 
 
 @dataclass(frozen=True)
@@ -192,28 +188,24 @@ class FitnessSensitivities:
 
 
 def fitness_sensitivities(y, p: OdeParams) -> FitnessSensitivities:
-    """Central finite-difference gradient of R_t over (beta, gamma, mu, nu, S, N).
+    """Closed-form gradient of ``R_t = basic_reproduction(p) * S / N`` over
+    (beta, gamma, mu, nu, S, N).
 
-    S and N are treated as independent arguments of the R_t formula, so
-    the S derivative holds the living population fixed.  Without isolation
-    the nu derivative is exactly zero (nu does not enter the formula).
+    S and N are treated as independent arguments of R_t, so the S
+    derivative holds the living population fixed.  Without isolation the
+    nu derivative is exactly zero (nu does not enter the formula).
     """
-    living = _living(y)
-
-    def rt(beta, gamma, mu, nu, S, N):
-        return _r0_formula(beta, gamma, mu, nu, p.delta, p.isolate) * S / N
-
-    base = {"beta": p.beta, "gamma": p.gamma, "mu": p.mu, "nu": p.nu, "S": float(y[0]), "N": living}
-    derivatives = {}
-    signs = {}
-    for name in SENSITIVITY_QUANTITIES:
-        x = base[name]
-        h = 1e-6 * abs(x) if x != 0.0 else 1e-6
-        hi = dict(base)
-        lo = dict(base)
-        hi[name] = x + h
-        lo[name] = x - h
-        d = (rt(**hi) - rt(**lo)) / (2.0 * h)
-        derivatives[name] = d
-        signs[name] = 0 if d == 0.0 else (1 if d > 0.0 else -1)
+    S, N = float(y[0]), _living(y)
+    r0 = basic_reproduction(p)
+    scale = (1.0 - p.delta) * S / N
+    sigma = 1.0 - p.nu if p.isolate else 1.0
+    derivatives = {
+        "beta": scale * (1.0 / p.mu + sigma / p.gamma),
+        "gamma": -scale * sigma * p.beta / p.gamma**2,
+        "mu": -scale * p.beta / p.mu**2,
+        "nu": -scale * p.beta / p.gamma if p.isolate else 0.0,
+        "S": r0 / N,
+        "N": -r0 * S / N**2,
+    }
+    signs = {name: int(d > 0.0) - int(d < 0.0) for name, d in derivatives.items()}
     return FitnessSensitivities(derivatives=derivatives, signs=signs)

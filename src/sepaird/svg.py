@@ -91,46 +91,39 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list:
     return [lo + i * step for i in range(count)]
 
 
+def _line(x1, y1, x2, y2, stroke, width) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, anchor, size, text) -> str:
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" font-size="{size}">'
+        f"{_escape(text)}</text>"
+    )
+
+
 def _frame(parts, canvas, title, x_label, y_label, x_tick_pairs, y_values):
+    middle = _MARGIN_LEFT + canvas.plot_w / 2
+    bottom = _MARGIN_TOP + canvas.plot_h
     parts.append(
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
         f'width="{_fmt(canvas.plot_w)}" height="{_fmt(canvas.plot_h)}" '
         'fill="none" stroke="#222222" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + canvas.plot_w / 2)}" y="{_fmt(_MARGIN_TOP - 16)}" '
-        f'text-anchor="middle" font-size="15">{_escape(title)}</text>'
-    )
-    bottom = _MARGIN_TOP + canvas.plot_h
+    parts.append(_text(middle, _MARGIN_TOP - 16, "middle", 15, title))
     for value, label in x_tick_pairs:
         px = canvas.x(value)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(bottom + 5)}" stroke="#222222" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(bottom + 18)}" text-anchor="middle" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+        parts.append(_line(px, bottom, px, bottom + 5, "#222222", 1))
+        parts.append(_text(px, bottom + 18, "middle", 11, label))
     for value in y_values:
         py = canvas.y(value)
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(py)}" stroke="#222222" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-size="11">{_escape(_fmt_tick(value))}</text>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + canvas.plot_w)}" y2="{_fmt(py)}" '
-            'stroke="#dddddd" stroke-width="0.5"/>'
-        )
-    parts.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + canvas.plot_w / 2)}" y="{_fmt(bottom + 40)}" '
-        f'text-anchor="middle" font-size="13">{_escape(x_label)}</text>'
-    )
+        parts.append(_line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, "#222222", 1))
+        parts.append(_text(_MARGIN_LEFT - 8, py + 4, "end", 11, _fmt_tick(value)))
+        parts.append(_line(_MARGIN_LEFT, py, _MARGIN_LEFT + canvas.plot_w, py, "#dddddd", 0.5))
+    parts.append(_text(middle, bottom + 40, "middle", 13, x_label))
     parts.append(
         f'<text x="18" y="{_fmt(_MARGIN_TOP + canvas.plot_h / 2)}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 18 {_fmt(_MARGIN_TOP + canvas.plot_h / 2)})">'
@@ -244,20 +237,10 @@ def render_notched_boxes(table: np.ndarray, metric: str, step=None) -> str:
             f'<polygon points="{path}" fill="{color}" fill-opacity="0.35" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<line x1="{_fmt(x_nl)}" y1="{_fmt(y_med)}" x2="{_fmt(x_nr)}" '
-            f'y2="{_fmt(y_med)}" stroke="{color}" stroke-width="2"/>'
-        )
+        parts.append(_line(x_nl, y_med, x_nr, y_med, color, 2))
         for y_box, y_whisker in ((y_q3, y_whi), (y_q1, y_wlo)):
-            parts.append(
-                f'<line x1="{_fmt(cx)}" y1="{_fmt(y_box)}" x2="{_fmt(cx)}" '
-                f'y2="{_fmt(y_whisker)}" stroke="{color}" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<line x1="{_fmt(cx - 12)}" y1="{_fmt(y_whisker)}" '
-                f'x2="{_fmt(cx + 12)}" y2="{_fmt(y_whisker)}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
+            parts.append(_line(cx, y_box, cx, y_whisker, color, 1))
+            parts.append(_line(cx - 12, y_whisker, cx + 12, y_whisker, color, 1))
         for value in box["outliers"]:
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(canvas.y(value))}" r="2.5" '

@@ -315,6 +315,25 @@ def test_dead_agents_never_contacted():
     assert w.n_living == 50 - w.cum_deaths
 
 
+def test_isolation_flags_and_deaths_are_derived():
+    p = SimParams(n_agents=300, n_initial_infected=20, symptomatic_chance0=1.0,
+                  fatality0=0.5, isolate_symptomatic=True, horizon=30, seed=5)
+    w = init_world(p)
+    assert "isolated" not in vars(w) and "cum_deaths" not in vars(w)
+    with pytest.raises(ValueError):
+        w.isolated[0] = True
+    off = init_world(dataclasses.replace(p, isolate_symptomatic=False))
+    for _ in range(p.horizon):
+        w.step()
+        off.step()
+        active = w.variant_of >= 0
+        assert np.array_equal(w.isolated, active & (w.symptomatic == 1))
+        assert not off.isolated.any()
+        assert w.cum_deaths == p.n_agents - int(w.alive.sum())
+    assert w.isolated.any() and (off.symptomatic[off.variant_of >= 0] == 1).any()
+    assert w.cum_deaths > 0
+
+
 # -- audits over instrumented runs -------------------------------------
 
 

@@ -96,6 +96,18 @@ def test_run_invalid_config_is_usage_error(tmp_path, capsys):
     assert "sepaird run:" in capsys.readouterr().err
 
 
+def test_run_impossible_population_is_usage_error(tmp_path, capsys):
+    # 10**15 agents need 909 TiB for their alive flags, beyond any user
+    # address space, so the allocation fails before touching memory
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(params_to_config(dataclasses.replace(FAST, n_agents=10**15)))
+    out = tmp_path / "run.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sepaird run: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_unwritable_output_is_io_error(config, tmp_path, capsys):
     target = tmp_path / "missing-dir" / "run.csv"
     assert main(["run", config, "--out", str(target)]) == 3
@@ -232,6 +244,18 @@ def test_sweep_rejected_grid_leaves_no_output_dir(config, tmp_path, capsys):
     assert main(["sweep", config, "--grid", str(grid), "--reps", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert "social_distancing out of [0,1]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_unaddressable_table_leaves_no_output_dir(grid_file, tmp_path, capsys):
+    # 4 scenarios x 10**6 replications x 10**12 steps: far past 2**63 bytes
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(params_to_config(dataclasses.replace(FAST, horizon=10**12)))
+    assert main(["sweep", str(cfg), "--grid", grid_file, "--reps", str(10**6),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sepaird sweep: ") and err.count("\n") == 1
+    assert "too large" in err
     assert not (tmp_path / "x").exists()
 
 

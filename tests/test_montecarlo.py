@@ -39,8 +39,9 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
     write_quantiles,
+    _WRITE_BLOCK,
+    _replications,
     _sweep_task,
-    _sweep_tasks,
 )
 from sepaird.params import ConfigError, SimParams, parse_config_text
 from sepaird.phylo import ActiveVariantSummary
@@ -331,7 +332,7 @@ def test_sweep_workers_do_not_change_rows(mini_grid, mini_dataset):
 
 def test_sweep_task_returns_one_table_block(mini_grid):
     # workers send numpy blocks, so no MetricRow is pickled across the pool
-    index, block = _sweep_task(next(_sweep_tasks(mini_grid)))
+    index, block = _sweep_task(mini_grid.base, next(enumerate(_replications(mini_grid))))
     assert index == 0
     assert block.dtype == DATASET_DTYPE
     assert block["step"].tolist() == list(range(1, mini_grid.horizon + 1))
@@ -580,6 +581,25 @@ def test_read_dataset_names_the_rejected_line(tmp_path, mini_dataset, edit, blan
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError, match=f"^line {6 if blank_before else 5}: "):
         read_dataset(path)
+
+
+def test_read_dataset_names_a_late_bad_line_in_few_parses(tmp_path, mini_dataset, monkeypatch):
+    # two full blocks and a few lines, only the last of them at fault
+    n_rows = 2 * _WRITE_BLOCK + 5
+    table = np.resize(mini_dataset.table, n_rows)
+    path = tmp_path / "dataset.csv"
+    write_dataset(SweepDataset(table), path)
+    lines = path.read_text().splitlines()
+    lines[-1] = _cell_edit("extinct", "perhaps")(lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    parse = montecarlo._parse_lines
+    monkeypatch.setattr(
+        montecarlo, "_parse_lines", lambda *args: calls.append(1) or parse(*args)
+    )
+    with pytest.raises(DatasetError, match=f"^line {n_rows + 1}: extinct is not true or false"):
+        read_dataset(path)
+    assert len(calls) < n_rows
 
 
 def test_read_dataset_reads_negative_zero_scenario_as_zero(tmp_path, mini_dataset):

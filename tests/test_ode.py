@@ -214,10 +214,20 @@ def test_sensitivity_nu_negative_under_isolation():
 
 def test_sensitivity_derivatives_match_closed_form():
     s = seeded_state(10000, 100, compartment="E")
-    sens = fitness_sensitivities(s, DEFAULTS)
-    p = DEFAULTS
-    living = s[:6].sum()
-    expected_beta = (1 / p.mu + 1 / p.gamma) * s[0] / living
-    assert sens.derivatives["beta"] == pytest.approx(expected_beta, rel=1e-5)
-    expected_s = basic_reproduction(p) / living
-    assert sens.derivatives["S"] == pytest.approx(expected_s, rel=1e-5)
+    s[0] -= 2000.0
+    s[5] += 1500.0  # S/N well below 1, so every partial carries its S/N factor
+    S, N = s[0], s[:6].sum()
+    for isolate in (False, True):
+        p = dataclasses.replace(DEFAULTS, delta=0.3, isolate=isolate)
+        kept = 1 - p.delta
+        sigma = 1 - p.nu if isolate else 1
+        expected = {
+            "beta": kept * (1 / p.mu + sigma / p.gamma) * S / N,
+            "gamma": -kept * sigma * p.beta / p.gamma**2 * S / N,
+            "mu": -kept * p.beta / p.mu**2 * S / N,
+            "nu": -kept * p.beta / p.gamma * S / N if isolate else 0.0,
+            "S": basic_reproduction(p) / N,
+            "N": -basic_reproduction(p) * S / N**2,
+        }
+        sens = fitness_sensitivities(s, p)
+        assert sens.derivatives == pytest.approx(expected, rel=1e-12, abs=0.0)
