@@ -32,6 +32,20 @@ WORLD_DIGESTS = {
         dict(mutation_prob=0.1, drift_prob=0.5),
         "362a158c6d0e7f030ff17ef717c2c74661f56ae98746cf73ef6337d38e38554c",
     ),
+    # every immunity-walk draw fails at psi 0; the run opens 1,337 clusters
+    "psi0_mutation_drift": (
+        dict(cross_immunity=0.0, mutation_prob=0.1, drift_prob=0.5),
+        "0e576ddee727d18b010d9380082ba91cfbfffa10393b4e5a719ada8d60958e97",
+    ),
+    "psi09_mutation_drift": (
+        dict(cross_immunity=0.9, mutation_prob=0.1, drift_prob=0.5),
+        "3bc276cad33e3f6ffd2e907ffcb94384f3f4df2ff6a8a00e6868f3ecb807657c",
+    ),
+    # every immunity-walk draw succeeds at psi 1
+    "psi1_mutation_drift": (
+        dict(cross_immunity=1.0, mutation_prob=0.05, drift_prob=0.3),
+        "ef2241a093d10f287a5820fefb760549c6cfb5401decb1f9f7ddc01f64011da3",
+    ),
 }
 
 DATASET_DIGEST = "ef307d93e16975c7613f4c961f1bcf5505f2f3e37de4404418306c22e012bfc8"
