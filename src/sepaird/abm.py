@@ -8,17 +8,21 @@ into death or recovery with recursive cross-immunity).
 
 Agent state is stored column-wise, one numpy array per fact; facts that
 follow from others (the isolation flags, the living and dead counts) are
-derived from them on read.  A course's three day marks are drawn as one
-tuple of ints.  A world with no active infection is absorbing: its later
-steps only advance ``step_index``.  A ``World`` is confined to a single
+derived from them on read.  Per-agent work is batched per phase without
+changing a single draw or its order: the contact phase makes each
+infection's draws in turn but writes the new courses (counter, day marks,
+flags, counts) once after its loop, and the progression phase walks the
+immunity of all of its survivors in one call, which reads its scalar
+draws from a block and then moves the stream just past the ones it used.
+A world with no active infection is absorbing: its later steps only
+advance ``step_index``.  A ``World`` is confined to a single
 execution context for its whole run; parallelism lives one level up,
 across independent replications.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -40,25 +44,22 @@ _NO_INFECTION = -1
 _UNDETERMINED = -1
 
 
-def draw_course(props: np.ndarray, sigma_ii: float, rng: RngStream) -> tuple:
-    """Draw the day marks (latent end, symptom day, end day) of one course.
+def draw_course(props: np.ndarray, sigma_ii: float, z: np.ndarray) -> np.ndarray:
+    """Day marks (latent end, symptom day, end day) of a batch of courses.
 
-    ``props`` is the variant's property row; its latent end, incubation
-    end and duration columns are the means.  Each mark is Gaussian with
-    standard deviation ``mean * sigma_ii``, truncated below at 0 and
-    rounded to the nearest integer (half away from zero), so any ordering
-    between the three can occur.  The latent end opens the infectious
-    window, the symptom day may turn the course symptomatic, the end day
-    resolves it.  ``m + m * sigma_ii * z`` is the arithmetic of numpy's
-    ``normal(means, means * sigma_ii)``, so the array form's marks match.
+    Row ``i`` of ``props`` is the property row of course ``i``'s variant;
+    its latent end, incubation end and duration columns are the means.
+    Row ``i`` of ``z`` holds the course's three standard normal draws.
+    Each mark is Gaussian with standard deviation ``mean * sigma_ii``,
+    truncated below at 0 and rounded to the nearest integer (half away
+    from zero), so any ordering between the three can occur.  The latent
+    end opens the infectious window, the symptom day may turn the course
+    symptomatic, the end day resolves it.  ``m + m * sigma_ii * z`` is the
+    arithmetic of numpy's ``normal(means, means * sigma_ii)``.  Returns an
+    int64 array of shape ``(len(z), 3)``.
     """
-    zl, zs, ze = rng.normal(0.0, 1.0, 3).tolist()
-    ml, ms, me = props[LATENT_END : DURATION + 1].tolist()
-    return (
-        math.floor(max(ml + ml * sigma_ii * zl, 0.0) + 0.5),
-        math.floor(max(ms + ms * sigma_ii * zs, 0.0) + 0.5),
-        math.floor(max(me + me * sigma_ii * ze, 0.0) + 0.5),
-    )
+    m = props[:, LATENT_END : DURATION + 1]
+    return np.floor(np.maximum(m + m * sigma_ii * z, 0.0) + 0.5).astype(np.int64)
 
 
 class World:
@@ -85,8 +86,12 @@ class World:
         # the seed infections are all wild type
         self.last_active_variants: tuple = (0,)
         self.events = [] if log_events else None
-        for agent in range(p.n_initial_infected):
-            self._infect(agent, 0)
+        seeds = np.arange(p.n_initial_infected)
+        normals = self.rng.normal(0.0, 1.0, (seeds.size, 3))
+        self.variant_of[seeds] = 0
+        for agent in seeds.tolist():
+            self._log("infection", agent, 0)
+        self._begin_courses(seeds, normals)
 
     # -- derived views ------------------------------------------------
 
@@ -135,18 +140,22 @@ class World:
 
     # -- infection -----------------------------------------------------
 
-    def _infect(self, agent: int, variant: int):
-        marks = draw_course(self.registry._props[variant], self.params.course_sd_frac, self.rng)
-        self.variant_of[agent] = variant
-        self.counter[agent] = 0
-        self.latent_end[agent], self.symptom_day[agent], self.end_day[agent] = marks
-        self.symptomatic[agent] = _UNDETERMINED
-        self.ever_infected[agent] = True
-        self.active_count[variant] += 1
-        self.cum_infections += 1
-        self._log("infection", agent, variant)
+    def _begin_courses(self, agents: np.ndarray, normals: np.ndarray):
+        """Start the courses of newly infected ``agents``, whose
+        ``variant_of`` is already set; row ``i`` of ``normals`` holds
+        agent ``i``'s course draws."""
+        variants = self.variant_of[agents]
+        marks = draw_course(self.registry.props_matrix[variants], self.params.course_sd_frac, normals)
+        self.counter[agents] = 0
+        self.latent_end[agents] = marks[:, 0]
+        self.symptom_day[agents] = marks[:, 1]
+        self.end_day[agents] = marks[:, 2]
+        self.symptomatic[agents] = _UNDETERMINED
+        self.ever_infected[agents] = True
+        np.add.at(self.active_count, variants, 1)
+        self.cum_infections += agents.size
 
-    def try_infect(self, source_variant: int, target: int):
+    def try_infect(self, source_variant: int, target: int, pending: list | None = None):
         """Infect ``target`` from a carrier of ``source_variant``.
 
         With probability ``mutation_prob`` the transmitted virus is a
@@ -155,6 +164,10 @@ class World:
         On drift, every agent immune to the parent cluster independently
         gains immunity to the new cluster with probability
         ``cross_immunity``.
+
+        The course draws are made here, in order; without ``pending`` the
+        course starts at once, with it the draws are appended to it and
+        the caller starts the course later.
         """
         assert self.alive.item(target) and self.variant_of.item(target) < 0
         p = self.params
@@ -176,13 +189,19 @@ class World:
                 self.immune = grown(self.immune, self.registry.n_clusters, axis=1)
                 new_cluster = int(self.registry.variant_cluster[variant])
                 self._log("drift", target, variant)
-        self._infect(target, variant)
+        normals = self.rng.normal(0.0, 1.0, 3)
+        self.variant_of[target] = variant
+        self._log("infection", target, variant)
         if new_cluster >= 0:
             parent_cluster = self.registry.cluster_parents[new_cluster]
             holders = np.where(self.immune[:, parent_cluster])[0]
             if holders.size:
                 rolls = self.rng.uniform(size=holders.size)
                 self.immune[holders[rolls < p.cross_immunity], new_cluster] = True
+        if pending is None:
+            self._begin_courses(np.array([target]), normals[None])
+        else:
+            pending.append(normals)
 
     # -- phases ----------------------------------------------------------
 
@@ -197,6 +216,9 @@ class World:
         infection, is not immune to the carrier's cluster, and a
         transmission roll beats ``infectiousness * (1 - distancing)``.
         An agent infected earlier in the phase blocks later attempts.
+
+        The phase's new courses are started together after the loop; the
+        loop reads back only ``variant_of``, which ``try_infect`` sets.
         """
         infected = np.where(self.variant_of >= 0)[0]
         count = self.counter[infected]
@@ -219,9 +241,13 @@ class World:
         susceptible = ~self.immune[targets, clusters[:, None]]
         rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
         variant_of = self.variant_of
+        infected, normals = [], []
         for variant, target in zip(source[rows].tolist(), targets[rows, cols].tolist()):
             if variant_of.item(target) < 0:
-                self.try_infect(variant, target)
+                self.try_infect(variant, target, normals)
+                infected.append(target)
+        if infected:
+            self._begin_courses(np.array(infected), np.array(normals))
 
     def progression_phase(self):
         """Advance every active infection by one day and fire due events.
@@ -259,31 +285,59 @@ class World:
         self.variant_of[ending] = _NO_INFECTION
         self.alive[ending[dies]] = False
         survives = ~dies
-        for agent, cluster in zip(ending[survives].tolist(), clusters[survives].tolist()):
-            self.grant_immunity(agent, cluster)
+        self.grant_immunity(ending[survives], clusters[survives])
         if self.events is not None:  # no draws here: logging keeps the run's bytes
             for agent, variant, died in zip(ending.tolist(), variants.tolist(), dies.tolist()):
                 self._log("death" if died else "recovery", agent, variant)
 
-    def grant_immunity(self, agent: int, cluster: int):
-        """Add ``cluster`` to the agent's immune set and propagate.
+    def grant_immunity(self, agents, clusters):
+        """Add each agent's cluster to its immune set and propagate.
 
-        Breadth-first over the antigenic tree: each neighbor (parent
-        first, then children) of a newly acquired cluster that is not
-        yet in the set is gained with independent probability
+        ``agents`` (distinct) and ``clusters`` are equal-length sequences,
+        or one agent and its cluster.  Agent by agent, in order, the walk
+        goes breadth-first over the antigenic tree: each neighbor (parent
+        first, then children) of a newly acquired cluster that is not yet
+        in the set is gained when a scalar ``uniform()`` draw falls below
         ``cross_immunity``; a failed draw prunes that branch.
+
+        The draws are those of that order, but none is made one by one.
+        With one cluster there is nothing to draw.  At ``cross_immunity``
+        0 every draw fails, so they are counted and skipped.  Otherwise
+        they are read from a block of upcoming draws, doubled whenever the
+        walk runs out, and the stream then skips the ones used.
         """
+        agents = np.atleast_1d(agents)
+        clusters = np.atleast_1d(clusters)
+        immune = self.immune
+        immune[agents, clusters] = True
+        n_clusters = self.registry.n_clusters
+        if n_clusters == 1 or agents.size == 0:
+            return
         psi = self.params.cross_immunity
-        row = self.immune[agent]
         neighbors = self.registry.cluster_neighbors
-        bernoulli = self.rng.bernoulli
-        row[cluster] = True
-        queue = deque([cluster])
-        while queue:
-            for neighbor in neighbors(queue.popleft()):
-                if not row.item(neighbor) and bernoulli(psi):
-                    row[neighbor] = True
-                    queue.append(neighbor)
+        if psi == 0.0:
+            around = [neighbors(c) for c in clusters.tolist()]
+            flat = np.fromiter(chain.from_iterable(around), dtype=np.int64)
+            rows = np.repeat(agents, [len(n) for n in around])
+            self.rng.skip(flat.size - int(np.count_nonzero(immune[rows, flat])))
+            return
+        size = min(agents.size * (n_clusters - 1), 4 * agents.size + 16)
+        draws = self.rng.peek_uniform(size).tolist()
+        used = 0
+        for agent, cluster in zip(agents.tolist(), clusters.tolist()):
+            row = immune[agent]
+            queue = [cluster]
+            for node in queue:  # first in, first out: the loop reaches appended nodes
+                for neighbor in neighbors(node):
+                    if not row.item(neighbor):
+                        if used == size:
+                            size *= 2
+                            draws = self.rng.peek_uniform(size).tolist()
+                        used += 1
+                        if draws[used - 1] < psi:
+                            row[neighbor] = True
+                            queue.append(neighbor)
+        self.rng.skip(used)
 
     # -- driver ----------------------------------------------------------
 

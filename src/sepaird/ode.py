@@ -92,7 +92,12 @@ def _living(y) -> float:
 
 def derivative(y: np.ndarray, p: OdeParams) -> np.ndarray:
     """Time derivative of the seven compartments; components sum to zero."""
-    S, E, P, A, I, R, D = y.tolist()
+    return np.array(_rates(y.tolist(), p))
+
+
+def _rates(y, p: OdeParams) -> tuple:
+    """``derivative`` over a sequence of seven floats, as a tuple."""
+    S, E, P, A, I, R, D = y
     living = S + E + P + A + I + R  # not _living(y): four calls per RK4 step
     if living <= 0.0:
         raise OdeError("population extinct")
@@ -105,7 +110,12 @@ def derivative(y: np.ndarray, p: OdeParams) -> np.ndarray:
     dI = P * p.mu * p.nu - I * p.gamma
     dR = A * p.gamma + I * p.lam * p.gamma
     dD = I * (1.0 - p.lam) * p.gamma
-    return np.array([dS, dE, dP, dA, dI, dR, dD])
+    return dS, dE, dP, dA, dI, dR, dD
+
+
+def _clip_negatives(y) -> list:
+    """``np.maximum(y, 0.0)`` over floats: a zero of either sign becomes +0.0."""
+    return [v if v > 0.0 else 0.0 for v in y]
 
 
 @dataclass
@@ -126,7 +136,10 @@ def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) ->
     """Classical fixed-step RK4 over ``[0, horizon]`` from state ``y0``.
 
     Total mass is checked to 1e-9 relative at every step; float-noise
-    negatives above -1e-12 are clipped to zero and counted.
+    negatives above -1e-12 are clipped to zero and counted.  The steps run
+    on Python floats in the operation order of the array form
+    ``y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``, so the states are the same
+    bytes.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise OdeError(f"dt must be finite and > 0, got {dt}")
@@ -137,25 +150,32 @@ def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) ->
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, len(COMPARTMENTS)))
-    y = np.array(y0, dtype=np.float64)
-    states[0] = y
-    mass0 = float(y.sum())
+    states[0] = y0
+    y = states[0].tolist()
+    mass0 = float(states[0].sum())
     clip_count = 0
+    h = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
     for i in range(n_steps):
-        k1 = derivative(y, p)
-        k2 = derivative(y + 0.5 * dt * k1, p)
-        k3 = derivative(y + 0.5 * dt * k2, p)
-        k4 = derivative(y + dt * k3, p)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        k1 = _rates(y, p)
+        k2 = _rates([a + h * b for a, b in zip(y, k1)], p)
+        k3 = _rates([a + h * b for a, b in zip(y, k2)], p)
+        k4 = _rates([a + dt * b for a, b in zip(y, k3)], p)
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(isfinite, y)):
             raise OdeError("integration diverged")
-        low = float(y.min())
+        low = min(y)
         if low < 0.0:
             if low < -1e-12:
                 raise OdeError(f"integration diverged: compartment reached {low}")
-            clip_count += int(np.count_nonzero(y < 0.0))
-            y = np.maximum(y, 0.0)
-        if abs(float(y.sum()) - mass0) > 1e-9 * max(mass0, 1.0):
+            clip_count += sum(v < 0.0 for v in y)
+            y = _clip_negatives(y)
+        S, E, P, A, I, R, D = y
+        if abs(S + E + P + A + I + R + D - mass0) > 1e-9 * max(mass0, 1.0):
             raise OdeError("integration diverged: mass not conserved")
         states[i + 1] = y
     return Trajectory(times=times, states=states, clip_count=clip_count)

@@ -29,6 +29,31 @@ class RngStream:
         """Uniform draw(s) on [0, 1)."""
         return self._gen.random(size)
 
+    def peek_uniform(self, size: int) -> np.ndarray:
+        """The next ``size`` uniform draws, leaving the stream where it was."""
+        bit_generator = self._gen.bit_generator
+        state = bit_generator.state
+        draws = self._gen.random(size)
+        bit_generator.state = state
+        return draws
+
+    def skip(self, n: int) -> None:
+        """Move the stream past ``n`` scalar ``uniform()`` draws.
+
+        ``PCG64.advance`` does this in O(log n) but drops the 32-bit
+        half-word that ``integers`` may hold back for its next draw, so the
+        half-word is saved first and put back afterwards.
+        """
+        if n == 0:
+            return
+        bit_generator = self._gen.bit_generator
+        before = bit_generator.state
+        bit_generator.advance(n)
+        after = bit_generator.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bit_generator.state = after
+
     def bernoulli(self, p: float) -> bool:
         """Single success/failure draw with probability ``p``."""
         return bool(self._gen.random() < p)

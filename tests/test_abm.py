@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,57 +9,50 @@ from sepaird.abm import init_world, run
 from sepaird.montecarlo import Scenario, collect_world_run
 from sepaird.params import ConfigError, SimParams
 from sepaird.rng import RngStream
-from sepaird.variants import DURATION, LATENT_END
+from sepaird.variants import DURATION, LATENT_END, grown
 
 WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
 
-class PresetNormals:
-    """Stands in for RngStream when a test needs exact course draws.
-
-    Takes the unrounded marks wanted from ``WILD`` at ``sigma`` and hands
-    ``draw_course`` the standard normals that produce exactly them.
-    """
-
-    def __init__(self, raw, sigma):
-        means = WILD[LATENT_END : DURATION + 1].tolist()
-        self.values = [(r - m) / (m * sigma) for r, m in zip(raw, means)]
-        assert [m + m * sigma * z for m, z in zip(means, self.values)] == raw
-
-    def normal(self, loc, scale, size=None):
-        assert (loc, scale, size) == (0.0, 1.0, 3)
-        return np.array(self.values)
+def preset_normals(raw, sigma):
+    """The standard normals that make ``draw_course`` see exactly the
+    unrounded marks ``raw`` from ``WILD`` at ``sigma``, as one course row."""
+    means = WILD[LATENT_END : DURATION + 1].tolist()
+    values = [(r - m) / (m * sigma) for r, m in zip(raw, means)]
+    assert [m + m * sigma * z for m, z in zip(means, values)] == raw
+    return np.array([values])
 
 
 # -- course draws ----------------------------------------------------
 
 
 def test_draw_course_zero_sd_hits_means():
-    marks = abm.draw_course(WILD, 0.0, RngStream(1))
-    assert type(marks) is tuple and all(type(m) is int for m in marks)
-    assert marks == (4, 6, 8)
+    marks = abm.draw_course(WILD[None], 0.0, RngStream(1).normal(0.0, 1.0, (1, 3)))
+    assert marks.dtype == np.int64 and marks.shape == (1, 3)
+    assert marks.tolist() == [[4, 6, 8]]
 
 
 def test_draw_course_truncates_and_rounds():
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([-1.0, 5.4, 8.5], 0.1))
-    assert marks == (0, 5, 9)
+    marks = abm.draw_course(WILD[None], 0.1, preset_normals([-1.0, 5.4, 8.5], 0.1))
+    assert marks.tolist() == [[0, 5, 9]]
 
 
 def test_draw_course_rounds_halves_away_from_zero():
     # banker's rounding would give (2, 6, 8) here
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([2.5, 6.5, 8.5], 0.1))
-    assert marks == (3, 7, 9)
+    marks = abm.draw_course(WILD[None], 0.1, preset_normals([2.5, 6.5, 8.5], 0.1))
+    assert marks.tolist() == [[3, 7, 9]]
 
 
 def test_draw_course_keeps_degenerate_order():
     # symptom day before the latent end stays as drawn; no reordering
-    marks = abm.draw_course(WILD, 0.1, PresetNormals([5.0, 2.0, 4.0], 0.1))
-    assert marks == (5, 2, 4)
+    marks = abm.draw_course(WILD[None], 0.1, preset_normals([5.0, 2.0, 4.0], 0.1))
+    assert marks.tolist() == [[5, 2, 4]]
 
 
 def test_draw_course_matches_array_formula():
-    # the scalar path must give the marks of numpy's array form and consume
-    # exactly the same draws, over random rows and spreads including 0
+    # marks from standard normals drawn three per course must be those of
+    # numpy's normal(means, means * sigma) over the same draws, over random
+    # rows and spreads including 0
     gen = np.random.default_rng(2024)
     rows = np.zeros((20_000, WILD.size))
     rows[:, LATENT_END : DURATION + 1] = gen.uniform(1e-3, 40.0, size=(20_000, 3))
@@ -70,7 +64,8 @@ def test_draw_course_matches_array_formula():
     for row, sigma in zip(rows, sigmas):
         means = row[LATENT_END : DURATION + 1]
         expected = np.floor(np.maximum(old.normal(means, means * sigma), 0.0) + 0.5)
-        assert abm.draw_course(row, float(sigma), new) == tuple(expected.astype(np.int64).tolist())
+        marks = abm.draw_course(row[None], float(sigma), new.normal(0.0, 1.0, 3)[None])
+        assert marks.tolist() == [expected.astype(np.int64).tolist()]
     assert old.uniform() == new.uniform()
 
 
@@ -200,6 +195,58 @@ def test_immunity_branches_from_middle_node():
     assert abs(both / trials - 0.25) <= 3 * se_both  # independent edges
 
 
+def _scalar_walk(world, agents, clusters):
+    """Reference immunity walk: per agent a breadth-first search with one
+    ``bernoulli`` per neighbor not yet held, parent first, then children."""
+    psi = world.params.cross_immunity
+    for agent, cluster in zip(agents, clusters):
+        row = world.immune[agent]
+        row[cluster] = True
+        queue = deque([cluster])
+        while queue:
+            for neighbor in world.registry.cluster_neighbors(queue.popleft()):
+                if not row[neighbor] and world.rng.bernoulli(psi):
+                    row[neighbor] = True
+                    queue.append(neighbor)
+
+
+def _walk_world(psi, parents, held_share):
+    p = SimParams(n_agents=60, n_initial_infected=0, cross_immunity=psi, seed=21)
+    w = init_world(p)
+    for parent in parents:
+        w.registry.add_cluster(parent)
+    w.immune = grown(w.immune, w.registry.n_clusters, axis=1)
+    gen = np.random.default_rng(5)
+    w.immune[:, : w.registry.n_clusters] = gen.random((60, w.registry.n_clusters)) < held_share
+    w.rng.integers(0, 10, size=3)  # leaves a half-word cached for the next integers draw
+    return w
+
+
+@pytest.mark.parametrize(
+    "psi, shape, held_share",
+    [(0.0, "tree", 0.3), (0.5, "tree", 0.2), (0.9, "chain", 0.0), (1.0, "chain", 0.0)],
+)
+def test_batched_immunity_walk_matches_scalar_walk(psi, shape, held_share):
+    # a 30-cluster random tree, or a 48-cluster chain whose long walks (470
+    # draws at psi 1) outrun the first block of 4 * 10 + 16 and make it double
+    gen = np.random.default_rng(9)
+    if shape == "tree":
+        parents = [int(gen.integers(0, c)) for c in range(1, 30)]
+    else:
+        parents = list(range(47))
+    batched, scalar = _walk_world(psi, parents, held_share), _walk_world(psi, parents, held_share)
+    n_clusters = batched.registry.n_clusters
+    agents = gen.permutation(60)[:10] if shape == "tree" else np.arange(10)
+    clusters = gen.integers(0, n_clusters, 10) if shape == "tree" else np.full(10, n_clusters - 1)
+    batched.grant_immunity(agents, clusters)
+    _scalar_walk(scalar, agents.tolist(), clusters.tolist())
+    assert np.array_equal(batched.immune, scalar.immune)
+    if psi == 1.0:
+        assert batched.immune[agents, :n_clusters].all()
+    assert batched.rng.integers(0, 10, size=3).tolist() == scalar.rng.integers(0, 10, size=3).tolist()
+    assert batched.rng.uniform() == scalar.rng.uniform()
+
+
 # -- infection mechanics ----------------------------------------------
 
 
@@ -258,7 +305,7 @@ def test_no_reinfection_within_cluster():
 
 def test_immediate_resolution_course(tiny_params, monkeypatch):
     # a zero-length course resolves on the next progression without transmitting
-    monkeypatch.setattr(abm, "draw_course", lambda v, s, rng: (0, 0, 0))
+    monkeypatch.setattr(abm, "draw_course", lambda props, s, z: np.zeros((len(z), 3), np.int64))
     w = init_world(tiny_params(n_initial_infected=8))
     w.step()
     assert w.n_infected == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sepaird.ode import (
+    _clip_negatives,
     COMPARTMENTS,
     OdeError,
     OdeParams,
@@ -231,3 +232,41 @@ def test_sensitivity_derivatives_match_closed_form():
         }
         sens = fitness_sensitivities(s, p)
         assert sens.derivatives == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _array_rk4(y0, p, horizon, dt):
+    """The array form of ``integrate``'s steps, as the byte reference."""
+    y = np.array(y0, dtype=np.float64)
+    states = [y]
+    for _ in range(int(round(horizon / dt))):
+        k1 = derivative(y, p)
+        k2 = derivative(y + 0.5 * dt * k1, p)
+        k3 = derivative(y + 0.5 * dt * k2, p)
+        k4 = derivative(y + dt * k3, p)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if y.min() < 0.0:
+            y = np.maximum(y, 0.0)
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "overrides, compartment",
+    [
+        (dict(), "E"),
+        (dict(isolate=True, delta=0.3), "P"),
+        # survival a hair above 1 drains D by float noise: clipped every step
+        (dict(lam=float(np.nextafter(1.0, 2.0))), "I"),
+    ],
+)
+def test_integrate_matches_array_form_bytes(overrides, compartment):
+    p = dataclasses.replace(DEFAULTS, **overrides)
+    s0 = seeded_state(10000, 10, compartment=compartment)
+    traj = integrate(s0, p, horizon=60.0, dt=0.1)
+    assert traj.states.tobytes() == _array_rk4(s0, p, 60.0, 0.1).tobytes()
+    assert (traj.clip_count > 0) == ("lam" in overrides)
+
+
+def test_clip_maps_signed_zeros_like_numpy_maximum():
+    y = [-0.0, 0.0, -1e-13, 2.5, -5e-324, 1e-300, -0.0]
+    assert np.array(_clip_negatives(y)).tobytes() == np.maximum(np.array(y), 0.0).tobytes()

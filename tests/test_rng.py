@@ -128,3 +128,39 @@ def test_integers_draws_are_pinned():
     assert rng.integers(0, 10, size=5).tolist() == [7, 7, 4, 9, 6]
     assert rng.integers(0, 9999, size=(2, 2)).tolist() == [[5924, 5220], [3188, 6058]]
     assert rng.integers(0, 2**40, size=2).tolist() == [39047910805, 277216523588]
+
+
+# -- moving the stream without scalar draws
+
+
+def test_skip_matches_scalar_uniforms_from_a_cached_half_word():
+    a, b = RngStream(31), RngStream(31)
+    a.integers(0, 10, size=3)
+    b.integers(0, 10, size=3)
+    assert a._gen.bit_generator.state["has_uint32"] == 1  # a half-word is held back
+    for k in (1, 7, 1000, 2):
+        a.skip(k)
+        for _ in range(k):
+            b.uniform()
+        assert a.integers(0, 10, size=3).tolist() == b.integers(0, 10, size=3).tolist()
+        assert a.normal(0.0, 1.0, 5).tolist() == b.normal(0.0, 1.0, 5).tolist()
+        assert a.uniform(size=4).tolist() == b.uniform(size=4).tolist()
+        assert a.integers(0, 1000, size=1).tolist() == b.integers(0, 1000, size=1).tolist()
+    assert a._gen.bit_generator.state == b._gen.bit_generator.state
+
+
+def test_skip_zero_leaves_the_state_untouched():
+    rng = RngStream(31)
+    rng.integers(0, 10, size=1)
+    before = rng._gen.bit_generator.state
+    rng.skip(0)
+    assert rng._gen.bit_generator.state == before
+
+
+def test_peek_uniform_reads_ahead_without_moving_the_stream():
+    rng = RngStream(31)
+    rng.integers(0, 10, size=1)
+    before = rng._gen.bit_generator.state
+    ahead = rng.peek_uniform(6).tolist()
+    assert rng._gen.bit_generator.state == before
+    assert [rng.uniform() for _ in range(6)] == ahead
