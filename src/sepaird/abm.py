@@ -22,8 +22,6 @@ across independent replications.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .params import SimParams, validate_params
@@ -155,7 +153,7 @@ class World:
         np.add.at(self.active_count, variants, 1)
         self.cum_infections += agents.size
 
-    def try_infect(self, source_variant: int, target: int, pending: list | None = None):
+    def try_infect(self, source_variant: int, target: int) -> np.ndarray:
         """Infect ``target`` from a carrier of ``source_variant``.
 
         With probability ``mutation_prob`` the transmitted virus is a
@@ -165,9 +163,9 @@ class World:
         gains immunity to the new cluster with probability
         ``cross_immunity``.
 
-        The course draws are made here, in order; without ``pending`` the
-        course starts at once, with it the draws are appended to it and
-        the caller starts the course later.
+        The course's three standard normal draws are made here, in order,
+        and returned: the caller starts the course with them through
+        ``_begin_courses``.
         """
         assert self.alive.item(target) and self.variant_of.item(target) < 0
         p = self.params
@@ -198,10 +196,7 @@ class World:
             if holders.size:
                 rolls = self.rng.uniform(size=holders.size)
                 self.immune[holders[rolls < p.cross_immunity], new_cluster] = True
-        if pending is None:
-            self._begin_courses(np.array([target]), normals[None])
-        else:
-            pending.append(normals)
+        return normals
 
     # -- phases ----------------------------------------------------------
 
@@ -244,7 +239,7 @@ class World:
         infected, normals = [], []
         for variant, target in zip(source[rows].tolist(), targets[rows, cols].tolist()):
             if variant_of.item(target) < 0:
-                self.try_infect(variant, target, normals)
+                normals.append(self.try_infect(variant, target))
                 infected.append(target)
         if infected:
             self._begin_courses(np.array(infected), np.array(normals))
@@ -293,21 +288,18 @@ class World:
     def grant_immunity(self, agents, clusters):
         """Add each agent's cluster to its immune set and propagate.
 
-        ``agents`` (distinct) and ``clusters`` are equal-length sequences,
-        or one agent and its cluster.  Agent by agent, in order, the walk
-        goes breadth-first over the antigenic tree: each neighbor (parent
-        first, then children) of a newly acquired cluster that is not yet
-        in the set is gained when a scalar ``uniform()`` draw falls below
-        ``cross_immunity``; a failed draw prunes that branch.
+        ``agents`` (distinct) and ``clusters`` are equal-length int
+        arrays.  Agent by agent, in order, the walk goes breadth-first over
+        the antigenic tree: each neighbor (parent first, then children) of
+        a newly acquired cluster that is not yet in the set is gained when
+        a scalar ``uniform()`` draw falls below ``cross_immunity``; a
+        failed draw prunes that branch.
 
         The draws are those of that order, but none is made one by one.
-        With one cluster there is nothing to draw.  At ``cross_immunity``
-        0 every draw fails, so they are counted and skipped.  Otherwise
-        they are read from a block of upcoming draws, doubled whenever the
-        walk runs out, and the stream then skips the ones used.
+        With one cluster there is nothing to draw.  Otherwise they are read
+        from a block of upcoming draws, doubled whenever the walk runs out,
+        and the stream then skips the ones used.
         """
-        agents = np.atleast_1d(agents)
-        clusters = np.atleast_1d(clusters)
         immune = self.immune
         immune[agents, clusters] = True
         n_clusters = self.registry.n_clusters
@@ -315,12 +307,6 @@ class World:
             return
         psi = self.params.cross_immunity
         neighbors = self.registry.cluster_neighbors
-        if psi == 0.0:
-            around = [neighbors(c) for c in clusters.tolist()]
-            flat = np.fromiter(chain.from_iterable(around), dtype=np.int64)
-            rows = np.repeat(agents, [len(n) for n in around])
-            self.rng.skip(flat.size - int(np.count_nonzero(immune[rows, flat])))
-            return
         size = min(agents.size * (n_clusters - 1), 4 * agents.size + 16)
         draws = self.rng.peek_uniform(size).tolist()
         used = 0

@@ -160,7 +160,7 @@ def test_immunity_chain_probability():
     root_hits = mid_hits = 0
     for _ in range(trials):
         w.immune[0, :] = False
-        w.grant_immunity(0, c2)
+        w.grant_immunity(np.array([0]), np.array([c2]))
         assert w.immune[0, c2]  # the infecting cluster is certain
         if w.immune[0, 0]:
             assert w.immune[0, c1]  # immunity reaches root only through c1
@@ -183,7 +183,7 @@ def test_immunity_branches_from_middle_node():
     up = down = both = 0
     for _ in range(trials):
         w.immune[0, :] = False
-        w.grant_immunity(0, c1)
+        w.grant_immunity(np.array([0]), np.array([c1]))
         u, d = bool(w.immune[0, 0]), bool(w.immune[0, c2])
         up += u
         down += d
@@ -250,10 +250,15 @@ def test_batched_immunity_walk_matches_scalar_walk(psi, shape, held_share):
 # -- infection mechanics ----------------------------------------------
 
 
+def _infect(w, variant, target):
+    """One infection outside a contact phase, its course started at once."""
+    w._begin_courses(np.array([target]), w.try_infect(variant, target)[None])
+
+
 def test_try_infect_mutation_and_drift_bookkeeping(tiny_params):
     w = init_world(tiny_params(mutation_prob=1.0, drift_prob=1.0))
     w.immune[120, 0] = True  # recovered from the wild cluster
-    w.try_infect(0, 50)
+    _infect(w, 0, 50)
     assert w.variant_of[50] == 1
     assert w.registry.n_variants == 2
     assert w.registry.n_clusters == 2
@@ -266,14 +271,14 @@ def test_drift_grant_certain_and_impossible(tiny_params):
     for psi, expected in ((1.0, True), (0.0, False)):
         w = init_world(tiny_params(mutation_prob=1.0, drift_prob=1.0, cross_immunity=psi))
         w.immune[120:130, 0] = True
-        w.try_infect(0, 50)
+        _infect(w, 0, 50)
         assert bool(w.immune[120:130, 1].all()) is expected
         assert not w.immune[130:, 1].any()  # never granted without base immunity
 
 
 def test_mutation_without_drift_keeps_cluster(tiny_params):
     w = init_world(tiny_params(mutation_prob=1.0, drift_prob=0.0))
-    w.try_infect(0, 50)
+    _infect(w, 0, 50)
     assert w.registry.n_variants == 2
     assert w.registry.n_clusters == 1
     assert w.registry.variant_cluster[1] == 0

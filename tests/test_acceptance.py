@@ -307,7 +307,7 @@ def test_c8_property_oracles():
     hits = 0
     for _ in range(4000):
         w.immune[0, :] = False
-        w.grant_immunity(0, c2)
+        w.grant_immunity(np.array([0]), np.array([c2]))
         hits += bool(w.immune[0, 0])
     se = np.sqrt(0.25 * 0.75 / 4000)
     checks.append(("chain probability", abs(hits / 4000 - 0.25) <= 3 * se))
