@@ -70,6 +70,8 @@ ANALYZE_DIGESTS = {
     ("ragged", "quantiles"): "bae82fa34e534c244fd422c23cffba8936608874b16ca936c7c1ed9c9775ee4f",
     ("ragged", "levels"): "f3d2d110962d9e96b1049acde9e015eb84308eb04bb8546140d7bab6ec077c4a",
     ("ragged", "boxes"): "764f53f1d82d0057ee90397237eec6be7facda8221523af2cde0e804f1645732",
+    ("resized", "quantiles"): "ce7ebe823f86ed52e4fb79a976a6b462872afd182a7f3cd2c25aa0eff8a6139a",
+    ("resized", "boxes"): "6de8260c2b4bbafe00d4694bbbb0301dcb9629659270a12e534ddf94cd99de63",
 }
 DEMO_DATASET = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "output", "dataset.csv"
@@ -175,6 +177,22 @@ def test_subcritical_sweep_is_pinned(tmp_path):
     assert _sha256(data) == SUBCRITICAL_DATASET_DIGEST, _pin_message("subcritical dataset.csv")
 
 
+# more than two of the reader's 4096-line blocks, with a blank line opening
+# the second, so rows are read and grouped across block boundaries
+RESIZED_ROWS = 9000
+RESIZED_BLANK_AT = 4096
+
+
+def _resized_copy(path) -> None:
+    """The demo dataset's rows repeated in order up to ``RESIZED_ROWS``, with a
+    blank line before data row ``RESIZED_BLANK_AT``, counted from 0."""
+    with open(DEMO_DATASET, "r", encoding="utf-8") as fh:
+        header, *body = fh.read().splitlines()
+    rows = [body[i % len(body)] for i in range(RESIZED_ROWS)]
+    rows.insert(RESIZED_BLANK_AT, "")
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def _ragged_copy(path) -> None:
     """The demo dataset with a fifth of its rows deleted and the rest shuffled,
     so aggregation groups hold 1 to 5 replications and arrive out of order."""
@@ -189,9 +207,9 @@ def _ragged_copy(path) -> None:
 @pytest.mark.parametrize("source,mode", sorted(ANALYZE_DIGESTS))
 def test_analyze_csv_is_pinned(tmp_path, source, mode):
     dataset = DEMO_DATASET
-    if source == "ragged":
-        dataset = tmp_path / "ragged.csv"
-        _ragged_copy(dataset)
+    if source != "demo":
+        dataset = tmp_path / f"{source}.csv"
+        {"ragged": _ragged_copy, "resized": _resized_copy}[source](dataset)
     out = tmp_path / "table.csv"
     assert main(["analyze", str(dataset), *ANALYZE_MODES[mode], "--out", str(out)]) == 0
     digest = _sha256(out.read_bytes())
