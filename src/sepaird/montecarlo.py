@@ -34,13 +34,14 @@ Every cell is spelled by one table, ``_CELL_FORMATS``, keyed by the kind
 of its column's dtype, so the dtype coerces a value before it is spelled;
 scenario floats are spelled as ``+0.0`` of their value, so scenarios that
 compare equal are spelled, keyed and seeded alike.  One writer,
-``_write_table``, formats a table column by column in blocks, the cells on
-either side of one column once per run of rows whose bytes on that side
-are equal, and ``write_atomically`` writes it to ``<path>.partial`` and
-renames that to the path once complete, or removes it if the write fails.
-One reader, ``_read_columns``, parses a CSV in one call and rejects a
-malformed line, a non-finite required cell or outlier, with its line
-number.
+``_write_table``, formats a table column by column in blocks of ``_BLOCK``
+rows, the cells on either side of one column once per run of rows whose
+bytes on that side are equal, and ``write_atomically`` writes it to
+``<path>.partial`` and renames that to the path once complete, or removes
+it if the write fails.
+One reader, ``_read_columns``, parses a CSV in blocks of as many lines,
+joins them, and rejects a malformed line, a non-finite required cell or
+outlier, or a NUL, with its line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -379,10 +380,10 @@ def write_atomically(path, text) -> None:
             os.remove(partial)
 
 
-# rows formatted per block: a column formatted whole would hold one Python
-# object per cell of the table at once; a rejected table is parsed again in
-# blocks of as many lines
-_WRITE_BLOCK = 4096
+# rows formatted or parsed per block: a column formatted whole would hold one
+# Python object per cell of the table at once, and a file parsed whole would
+# hold all its text cells at once beside the table
+_BLOCK = 4096
 
 
 def _joined_cells(rows: np.ndarray, columns) -> map:
@@ -422,10 +423,10 @@ def _table_text(table: np.ndarray, split: str):
     before, after = names[: names.index(split)], names[names.index(split) + 1 :]
     spell = _CELL_FORMATS[table.dtype[split].kind]
     head = tail = None
-    for start in range(0, len(table), _WRITE_BLOCK):
+    for start in range(0, len(table), _BLOCK):
         # with the row before, against which the block's first row is compared
         first = max(start - 1, 0)
-        rows = table[first : start + _WRITE_BLOCK]
+        rows = table[first : start + _BLOCK]
         new_head = _new_runs(rows, before)[start - first :]
         new_tail = _new_runs(rows, after)[start - first :]
         rows = rows[start - first :]
@@ -473,15 +474,19 @@ def _loadtxt(lines, dtype) -> np.ndarray:
 
 
 def _parse_lines(lines, dtype: np.dtype, finite) -> np.ndarray:
-    """The CSV data ``lines`` as one ``dtype`` table, in one C-level parse.
+    """The list of CSV data ``lines`` as one ``dtype`` table, in one C-level
+    parse.
 
-    Blank lines are skipped.  A bool cell is read as text wider than
-    ``false``, so that ``falsey`` cannot be cut down to ``false``, and must
-    read ``true`` or ``false``; an outliers cell is read as text and split
-    into a tuple of floats.  The columns in ``finite`` must be finite, and
-    scenario floats read ``-0.0`` as ``0.0``.  Raises ValueError on the first
-    violation.
+    Blank lines are skipped, and a line that holds a NUL is rejected: a text
+    cell drops trailing NULs, so ``true\\x00`` would parse as ``true``.  A
+    bool cell is read as text wider than ``false``, so that ``falsey``
+    cannot be cut down to ``false``, and must read ``true`` or ``false``; an
+    outliers cell is read as text and split into a tuple of floats.  The
+    columns in ``finite`` must be finite, and scenario floats read ``-0.0``
+    as ``0.0``.  Raises ValueError on the first violation.
     """
+    if "\x00" in "".join(lines):
+        raise ValueError("NUL character")
     cell_types = [(name, "U6" if dtype[name].kind == "b" else dtype[name]) for name in dtype.names]
     cells = _loadtxt(lines, cell_types)
     table = np.empty(cells.shape, dtype=dtype)
@@ -509,51 +514,29 @@ def _parse_lines(lines, dtype: np.dtype, finite) -> np.ndarray:
     return table
 
 
-def _holds_nul(path) -> bool:
-    """Whether the file holds a NUL.  No cell may: a text cell drops
-    trailing NULs, so ``true\\x00`` would parse as ``true``."""
-    with open(path, "rb") as fh:
-        # a NUL byte is a NUL character in UTF-8, and bytes search faster
-        return any(b"\x00" in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
-
-
-def _check_lines(lines, dtype: np.dtype, finite) -> None:
-    """Raise ValueError if ``_parse_lines`` rejects ``lines`` or one holds a NUL."""
-    if any("\x00" in line for line in lines):
-        raise ValueError("NUL character")
-    _parse_lines(lines, dtype, finite)
-
-
 def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
     """Every non-blank line under an exact header of ``dtype``'s columns,
-    parsed by ``_parse_lines``; a rejected file is parsed again, in blocks
-    of ``_WRITE_BLOCK`` lines and then line by line within the first block
-    rejected, only to name the first line at fault.  A line that holds a
-    NUL is rejected."""
+    parsed by ``_parse_lines`` in blocks of ``_BLOCK`` lines, the blocks
+    joined in order.  The lines of a rejected block are parsed again one by
+    one, only to name the first line at fault."""
+    tables = [np.empty(0, dtype=dtype)]
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(fh, dtype.names)
-        try:
-            if _holds_nul(path):
-                raise ValueError("NUL character")
-            return _parse_lines(fh, dtype, finite)
-        except ValueError as exc:
-            error = exc
-        fh.seek(0)
-        fh.readline()
         first = 2
-        while block := list(itertools.islice(fh, _WRITE_BLOCK)):
+        while block := list(itertools.islice(fh, _BLOCK)):
             try:
-                _check_lines(block, dtype, finite)
-            except ValueError:
+                tables.append(_parse_lines(block, dtype, finite))
+            except ValueError as error:
                 for lineno, line in enumerate(block, start=first):
                     try:
-                        _check_lines([line], dtype, finite)
+                        _parse_lines([line], dtype, finite)
                     except ValueError as exc:
                         # numpy's own position is within this one line
                         message = str(exc).partition(" at row ")[0]
                         raise DatasetError(f"line {lineno}: {message}") from None
+                raise DatasetError(f"bad table ({error})") from None
             first += len(block)
-    raise DatasetError(f"bad table ({error})")
+    return np.concatenate(tables)
 
 
 def read_dataset(path) -> SweepDataset:

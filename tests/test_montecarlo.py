@@ -39,7 +39,7 @@ from sepaird.montecarlo import (
     write_dataset,
     write_manifest,
     write_quantiles,
-    _WRITE_BLOCK,
+    _BLOCK,
     _replications,
     _sweep_task,
 )
@@ -585,7 +585,7 @@ def test_read_dataset_names_the_rejected_line(tmp_path, mini_dataset, edit, blan
 
 def test_read_dataset_names_a_late_bad_line_in_few_parses(tmp_path, mini_dataset, monkeypatch):
     # two full blocks and a few lines, only the last of them at fault
-    n_rows = 2 * _WRITE_BLOCK + 5
+    n_rows = 2 * _BLOCK + 5
     table = np.resize(mini_dataset.table, n_rows)
     path = tmp_path / "dataset.csv"
     write_dataset(SweepDataset(table), path)
@@ -599,7 +599,38 @@ def test_read_dataset_names_a_late_bad_line_in_few_parses(tmp_path, mini_dataset
     )
     with pytest.raises(DatasetError, match=f"^line {n_rows + 1}: extinct is not true or false"):
         read_dataset(path)
-    assert len(calls) < n_rows
+    # one parse per block, then one per line of the rejected third block
+    assert len(calls) == 3 + 5
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_cell_edit("extinct", "true\x00"), "NUL character"),
+        (_cell_edit("mutation_prob", "nan"), "non-finite mutation_prob nan"),
+    ],
+    ids=["nul", "nan"],
+)
+def test_read_dataset_names_a_bad_line_in_a_later_block(tmp_path, mini_dataset, edit, message):
+    path = tmp_path / "dataset.csv"
+    write_dataset(SweepDataset(np.resize(mini_dataset.table, 2 * _BLOCK + 50)), path)
+    lines = path.read_text().splitlines()
+    lines[2 * _BLOCK + 20] = edit(lines[2 * _BLOCK + 20])
+    # blank lines in the first and the second block: skipped, but counted
+    lines.insert(_BLOCK + 10, "")
+    lines.insert(10, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"^line {2 * _BLOCK + 23}: {message}$"):
+        read_dataset(path)
+
+
+def test_read_dataset_joins_blocks_into_the_table_written(tmp_path, mini_dataset):
+    table = np.resize(mini_dataset.table, 2 * _BLOCK + 5)
+    path = tmp_path / "dataset.csv"
+    write_dataset(SweepDataset(table), path)
+    read = read_dataset(path).table
+    assert read.dtype == DATASET_DTYPE
+    assert read.tobytes() == table.tobytes()
 
 
 def test_read_dataset_reads_negative_zero_scenario_as_zero(tmp_path, mini_dataset):
