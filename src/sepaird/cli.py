@@ -27,6 +27,7 @@ from .montecarlo import (
     read_dataset,
     read_quantiles,
     sweep,
+    validate_request,
     validate_sweep,
     write_atomically,
     write_boxes,
@@ -169,10 +170,7 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    dataset = read_dataset(args.dataset)
-    if args.box_at is not None:
-        write_boxes(notched_box(dataset, args.metric, args.box_at), args.out)
-        return _EXIT_OK
+    levels = DEFAULT_QUANTILES
     if args.quantiles is not None:
         try:
             levels = tuple(float(cell) for cell in args.quantiles.split(",") if cell.strip())
@@ -180,8 +178,12 @@ def _cmd_analyze(args) -> int:
             raise DatasetError(f"bad quantile list {args.quantiles!r}") from None
         if not levels:
             raise DatasetError("empty quantile list")
-    else:
-        levels = DEFAULT_QUANTILES
+    # before the read, which can take long on a large dataset
+    validate_request(args.metric, levels)
+    dataset = read_dataset(args.dataset)
+    if args.box_at is not None:
+        write_boxes(notched_box(dataset, args.metric, args.box_at), args.out)
+        return _EXIT_OK
     write_quantiles(quantile_series(dataset, args.metric, levels), args.out)
     return _EXIT_OK
 

@@ -560,10 +560,19 @@ def _groups(table: np.ndarray, keys) -> tuple:
     return order, np.flatnonzero(new_group)
 
 
-def _metric_values(table: np.ndarray, metric: str, order: np.ndarray) -> np.ndarray:
-    """``metric`` in ``order`` as floats; a nan or inf would corrupt its group's statistics."""
+def validate_request(metric: str, quantiles: Sequence[float] = ()) -> None:
+    """Raise DatasetError unless ``metric`` names a metric column and each
+    of ``quantiles`` lies in [0, 1]; it needs no dataset, so a caller can
+    check a request before reading one."""
     if metric not in METRIC_FIELDS:
         raise DatasetError(f"unknown metric {metric!r}")
+    for q in quantiles:
+        if not 0.0 <= q <= 1.0:
+            raise DatasetError(f"quantile {q} out of [0,1]")
+
+
+def _metric_values(table: np.ndarray, metric: str, order: np.ndarray) -> np.ndarray:
+    """``metric`` in ``order`` as floats; a nan or inf would corrupt its group's statistics."""
     values = table[metric][order].astype(np.float64)
     finite = np.isfinite(values)
     if not finite.all():
@@ -594,9 +603,7 @@ def quantile_series(
     ordering is canonical (sorted scenarios, then step, then the given
     quantile order), independent of row order in the dataset.
     """
-    for q in quantiles:
-        if not 0.0 <= q <= 1.0:
-            raise DatasetError(f"quantile {q} out of [0,1]")
+    validate_request(metric, quantiles)
     table = ds.table
     keys = list(SCENARIO_FIELDS + ("step",))
     order, starts = _groups(table, keys)
@@ -618,6 +625,7 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> np.ndarray:
     values beyond them are listed as outliers.  The notch half-width is
     1.58 IQR / sqrt(n).
     """
+    validate_request(metric)
     table = ds.table
     at_step = table[table["step"] == step]
     order, starts = _groups(at_step, SCENARIO_FIELDS)

@@ -336,6 +336,23 @@ def test_analyze_bad_quantile_list(dataset_file, tmp_path, capsys):
                  "--quantiles", ",", "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "request_args,message",
+    [
+        (["--metric", "bogus"], "unknown metric 'bogus'"),
+        (["--metric", "mortality", "--quantiles", "0.5,1.5"], "quantile 1.5 out of [0,1]"),
+        (["--metric", "mortality", "--quantiles", "abc"], "bad quantile list 'abc'"),
+        (["--metric", "bogus", "--box-at", "1"], "unknown metric 'bogus'"),
+    ],
+    ids=["metric", "level", "list", "box-metric"],
+)
+def test_analyze_checks_the_request_before_reading(tmp_path, capsys, request_args, message):
+    # the dataset does not exist, so a read would exit 3
+    absent = str(tmp_path / "absent.csv")
+    assert main(["analyze", absent, *request_args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_missing_dataset(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.csv"), "--metric", "mortality",
                  "--out", str(tmp_path / "x.csv")]) == 3
