@@ -38,14 +38,14 @@ compare equal are spelled, keyed and seeded alike.  One writer,
 rows, the cells on either side of one column once per run of rows whose
 bytes on that side are equal, and ``write_atomically`` writes it to
 ``<path>.partial`` and renames that to the path once complete, or removes
-it if the write fails.
-One reader, ``_read_columns``, parses a CSV in blocks of as many lines,
-joins them, and rejects a malformed line, a non-finite required cell or
-outlier, or a NUL, with its line number.
+it if the write fails.  One reader, ``_read_columns``, parses a CSV in
+blocks of as many lines, joins them, and rejects a malformed line, a
+non-finite required cell or outlier, or a NUL, with its line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
-table, each returned as a table.
+table, each returned as a table.  ``validate_request`` checks the metric
+and the quantile levels of a request, and needs no dataset.
 """
 
 from __future__ import annotations
