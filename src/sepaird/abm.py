@@ -153,50 +153,47 @@ class World:
         np.add.at(self.active_count, variants, 1)
         self.cum_infections += agents.size
 
-    def try_infect(self, source_variant: int, target: int) -> np.ndarray:
-        """Infect ``target`` from a carrier of ``source_variant``.
+    def try_infect(self, source_variant: int, target: int, course: np.ndarray) -> int:
+        """Infect ``target`` with a fresh mutant child of ``source_variant``.
 
-        With probability ``mutation_prob`` the transmitted virus is a
-        fresh mutant child of the source variant; a fraction
-        ``drift_prob`` of mutations also opens a new antigenic cluster.
-        On drift, every agent immune to the parent cluster independently
-        gains immunity to the new cluster with probability
-        ``cross_immunity``.
+        The contact phase calls this only for an infection whose mutation
+        roll (``mutation_prob``) succeeded.  A fraction ``drift_prob`` of
+        mutations also opens a new antigenic cluster; on drift, every agent
+        immune to the parent cluster independently gains immunity to the
+        new cluster with probability ``cross_immunity``.
 
-        The course's three standard normal draws are made here, in order,
-        and returned: the caller starts the course with them through
-        ``_begin_courses``.
+        The draws come in the order of stream v1: drift, the mutation
+        shocks, the course's three standard normals (written into
+        ``course``), then the cross-immunity rolls.  Returns the new
+        variant; the caller sets ``variant_of`` and starts the course
+        through ``_begin_courses``.
         """
         assert self.alive.item(target) and self.variant_of.item(target) < 0
         p = self.params
-        variant = source_variant
-        new_cluster = -1
-        if self.rng.bernoulli(p.mutation_prob):
-            drift = self.rng.bernoulli(p.drift_prob)
-            variant = spawn_variant(
-                self.registry,
-                source_variant,
-                drift,
-                p.mutation_mean,
-                p.mutation_sd,
-                self.rng,
-            )
-            self.active_count = grown(self.active_count, self.registry.n_variants)
-            self._log("mutation", target, variant)
-            if drift:
-                self.immune = grown(self.immune, self.registry.n_clusters, axis=1)
-                new_cluster = int(self.registry.variant_cluster[variant])
-                self._log("drift", target, variant)
-        normals = self.rng.normal(0.0, 1.0, 3)
-        self.variant_of[target] = variant
+        drift = self.rng.bernoulli(p.drift_prob)
+        variant = spawn_variant(
+            self.registry,
+            source_variant,
+            drift,
+            p.mutation_mean,
+            p.mutation_sd,
+            self.rng,
+        )
+        self.active_count = grown(self.active_count, self.registry.n_variants)
+        self._log("mutation", target, variant)
+        if drift:
+            self.immune = grown(self.immune, self.registry.n_clusters, axis=1)
+            self._log("drift", target, variant)
+        course[:] = self.rng.normal(0.0, 1.0, 3)
         self._log("infection", target, variant)
-        if new_cluster >= 0:
+        if drift:
+            new_cluster = int(self.registry.variant_cluster[variant])
             parent_cluster = self.registry.cluster_parents[new_cluster]
             holders = np.where(self.immune[:, parent_cluster])[0]
             if holders.size:
                 rolls = self.rng.uniform(size=holders.size)
                 self.immune[holders[rolls < p.cross_immunity], new_cluster] = True
-        return normals
+        return variant
 
     # -- phases ----------------------------------------------------------
 
@@ -212,8 +209,16 @@ class World:
         transmission roll beats ``infectiousness * (1 - distancing)``.
         An agent infected earlier in the phase blocks later attempts.
 
-        The phase's new courses are started together after the loop; the
-        loop reads back only ``variant_of``, which ``try_infect`` sets.
+        No draw in the loop below changes which contacts are infected, so
+        the phase finds them first, in numpy: each target's first
+        successful contact in (carrier, contact) order.  The loop over them
+        then makes only each infection's draws, in order: the mutation roll
+        through the generator's bound ``random``, then either the mutating
+        path (``try_infect``) or the three course normals through its
+        bound ``standard_normal``, which gives ``normal(0.0, 1.0)``'s
+        values but for the sign of a zero, which ``draw_course`` does not
+        see.  ``variant_of`` is written and the courses started once, after
+        the loop.
         """
         infected = np.where(self.variant_of >= 0)[0]
         count = self.counter[infected]
@@ -235,14 +240,26 @@ class World:
         open_target = self.variant_of[targets] < 0
         susceptible = ~self.immune[targets, clusters[:, None]]
         rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
-        variant_of = self.variant_of
-        infected, normals = [], []
-        for variant, target in zip(source[rows].tolist(), targets[rows, cols].tolist()):
-            if variant_of.item(target) < 0:
-                normals.append(self.try_infect(variant, target))
-                infected.append(target)
-        if infected:
-            self._begin_courses(np.array(infected), np.array(normals))
+        if rows.size == 0:
+            return
+        hits = targets[rows, cols]
+        first = np.sort(np.unique(hits, return_index=True)[1])
+        agents = hits[first]
+        variants = source[rows[first]].tolist()
+        normals = np.empty((first.size, 3))
+        generator = self.rng.generator
+        random, standard_normal = generator.random, generator.standard_normal
+        mutation_prob = self.params.mutation_prob
+        events = self.events
+        for i, course in enumerate(normals):
+            if random() < mutation_prob:
+                variants[i] = self.try_infect(variants[i], agents.item(i), course)
+            else:
+                standard_normal(out=course)
+                if events is not None:
+                    self._log("infection", agents.item(i), variants[i])
+        self.variant_of[agents] = variants
+        self._begin_courses(agents, normals)
 
     def progression_phase(self):
         """Advance every active infection by one day and fire due events.
@@ -298,7 +315,8 @@ class World:
         The draws are those of that order, but none is made one by one.
         With one cluster there is nothing to draw.  Otherwise they are read
         from a block of upcoming draws, doubled whenever the walk runs out,
-        and the stream then skips the ones used.
+        and the stream then skips the ones used.  The walk reads and writes
+        a byte copy of the agents' immunity rows, written back once.
         """
         immune = self.immune
         immune[agents, clusters] = True
@@ -306,23 +324,26 @@ class World:
         if n_clusters == 1 or agents.size == 0:
             return
         psi = self.params.cross_immunity
-        neighbors = self.registry.cluster_neighbors
+        neighbors = self.registry.neighbor_table
+        held = bytearray(immune[agents, :n_clusters])
         size = min(agents.size * (n_clusters - 1), 4 * agents.size + 16)
         draws = self.rng.peek_uniform(size).tolist()
         used = 0
-        for agent, cluster in zip(agents.tolist(), clusters.tolist()):
-            row = immune[agent]
+        row = 0
+        for cluster in clusters.tolist():
             queue = [cluster]
             for node in queue:  # first in, first out: the loop reaches appended nodes
-                for neighbor in neighbors(node):
-                    if not row.item(neighbor):
+                for neighbor in neighbors[node]:
+                    if not held[row + neighbor]:
                         if used == size:
                             size *= 2
                             draws = self.rng.peek_uniform(size).tolist()
                         used += 1
                         if draws[used - 1] < psi:
-                            row[neighbor] = True
+                            held[row + neighbor] = 1
                             queue.append(neighbor)
+            row += n_clusters
+        immune[agents, :n_clusters] = np.frombuffer(held, dtype=bool).reshape(-1, n_clusters)
         self.rng.skip(used)
 
     # -- driver ----------------------------------------------------------

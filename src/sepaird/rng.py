@@ -25,6 +25,13 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
+    @property
+    def generator(self) -> np.random.Generator:
+        """The numpy generator behind this stream.  A hot loop binds its
+        methods once (``random``, ``standard_normal``); every draw made
+        through them moves this stream exactly as the methods below do."""
+        return self._gen
+
     def uniform(self, size=None):
         """Uniform draw(s) on [0, 1)."""
         return self._gen.random(size)

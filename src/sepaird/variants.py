@@ -155,6 +155,12 @@ class Registry:
         """Tree neighbors of a cluster: parent first, then children in order."""
         return self._cl_neighbors[cid]
 
+    @property
+    def neighbor_table(self) -> list:
+        """Every cluster's ``cluster_neighbors`` tuple, indexed by id: the
+        registry's own list, for loops that look many up; read it only."""
+        return self._cl_neighbors
+
     def max_cluster_depth(self) -> int:
         """Deepest antigenic cluster ever created (never decreases)."""
         return int(self.cluster_depths.max())

@@ -9,7 +9,7 @@ from sepaird.abm import init_world, run
 from sepaird.montecarlo import Scenario, collect_world_run
 from sepaird.params import ConfigError, SimParams
 from sepaird.rng import RngStream
-from sepaird.variants import DURATION, LATENT_END, grown
+from sepaird.variants import DURATION, INFECTIOUSNESS, LATENT_END, grown, spawn_variant
 
 WILD = np.array([0.0625, 4.0, 6.0, 8.0, 0.7, 0.01])
 
@@ -251,8 +251,12 @@ def test_batched_immunity_walk_matches_scalar_walk(psi, shape, held_share):
 
 
 def _infect(w, variant, target):
-    """One infection outside a contact phase, its course started at once."""
-    w._begin_courses(np.array([target]), w.try_infect(variant, target)[None])
+    """One mutating infection outside a contact phase, its course started
+    at once, after the mutation roll that the contact phase makes first."""
+    assert w.rng.bernoulli(w.params.mutation_prob)
+    course = np.empty((1, 3))
+    w.variant_of[target] = w.try_infect(variant, target, course[0])
+    w._begin_courses(np.array([target]), course)
 
 
 def test_try_infect_mutation_and_drift_bookkeeping(tiny_params):
@@ -282,6 +286,93 @@ def test_mutation_without_drift_keeps_cluster(tiny_params):
     assert w.registry.n_variants == 2
     assert w.registry.n_clusters == 1
     assert w.registry.variant_cluster[1] == 0
+
+
+def _scalar_infect(w, source_variant, target):
+    """Reference infection: the mutation roll, then the mutating path's
+    draws, the course normals and the cross-immunity rolls, in stream v1
+    order; returns the course normals."""
+    p = w.params
+    variant = source_variant
+    new_cluster = -1
+    if w.rng.bernoulli(p.mutation_prob):
+        drift = w.rng.bernoulli(p.drift_prob)
+        variant = spawn_variant(
+            w.registry, source_variant, drift, p.mutation_mean, p.mutation_sd, w.rng
+        )
+        w.active_count = grown(w.active_count, w.registry.n_variants)
+        w._log("mutation", target, variant)
+        if drift:
+            w.immune = grown(w.immune, w.registry.n_clusters, axis=1)
+            new_cluster = int(w.registry.variant_cluster[variant])
+            w._log("drift", target, variant)
+    normals = w.rng.normal(0.0, 1.0, 3)
+    w.variant_of[target] = variant
+    w._log("infection", target, variant)
+    if new_cluster >= 0:
+        holders = np.where(w.immune[:, w.registry.cluster_parents[new_cluster]])[0]
+        if holders.size:
+            rolls = w.rng.uniform(size=holders.size)
+            w.immune[holders[rolls < p.cross_immunity], new_cluster] = True
+    return normals
+
+
+def _scalar_contact_phase(w, blocked):
+    """Reference contact phase: the successful contacts in (carrier,
+    contact) order, each infecting its target in turn unless an earlier
+    one already did; ``blocked`` counts the contacts that were blocked."""
+    infected = np.where(w.variant_of >= 0)[0]
+    count = w.counter[infected]
+    window = (w.latent_end[infected] <= count) & (count < w.end_day[infected])
+    carriers = infected[window & ~w.isolated[infected]]
+    if carriers.size == 0 or w.n_living <= 1:
+        return
+    living = np.where(w.alive)[0]
+    eta = w.params.daily_contacts
+    positions = np.searchsorted(living, carriers)
+    idx = w.rng.integers(0, living.size - 1, size=(carriers.size, eta))
+    idx += idx >= positions[:, None]
+    targets = living[idx]
+    rolls = w.rng.uniform(size=(carriers.size, eta))
+    source = w.variant_of[carriers]
+    infectiousness = np.minimum(w.registry.props_matrix[source, INFECTIOUSNESS], 1.0)
+    transmit = infectiousness * (1.0 - w.params.social_distancing)
+    clusters = w.registry.variant_cluster[source]
+    open_target = w.variant_of[targets] < 0
+    susceptible = ~w.immune[targets, clusters[:, None]]
+    rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
+    agents, normals = [], []
+    for variant, target in zip(source[rows].tolist(), targets[rows, cols].tolist()):
+        if w.variant_of.item(target) < 0:
+            normals.append(_scalar_infect(w, variant, target))
+            agents.append(target)
+        else:
+            blocked.append(target)
+    if agents:
+        w._begin_courses(np.array(agents), np.array(normals))
+
+
+@pytest.mark.parametrize("log_events", [False, True])
+@pytest.mark.parametrize("psi", [0.0, 0.5, 1.0])
+def test_contact_phase_matches_scalar_reference(psi, log_events):
+    # 20 contacts a day among 300 agents hit many targets twice in a phase;
+    # mutation 0.3 with drift 0.5 sends a third of the infections down the
+    # mutating path and grows the cluster tree as the run goes
+    p = SimParams(n_agents=300, n_initial_infected=10, daily_contacts=20, mutation_prob=0.3,
+                  drift_prob=0.5, cross_immunity=psi, horizon=60, seed=13)
+    batched, scalar = init_world(p, log_events), init_world(p, log_events)
+    blocked = []
+    scalar.contact_phase = lambda: _scalar_contact_phase(scalar, blocked)
+    for _ in range(p.horizon):
+        batched.step()
+        scalar.step()
+        assert batched.state_bytes() == scalar.state_bytes()
+    assert blocked and batched.cum_mutations > 10 and batched.cum_drifts > 5
+    assert batched.events == scalar.events
+    assert batched.rng.uniform() == scalar.rng.uniform()
+    next_integers = [w.rng.integers(0, 1000, size=3).tolist() for w in (batched, scalar)]
+    assert next_integers[0] == next_integers[1]
+    assert batched.rng.normal(0.0, 1.0, 3).tolist() == scalar.rng.normal(0.0, 1.0, 3).tolist()
 
 
 def test_every_infection_mutates_when_certain(tiny_params):

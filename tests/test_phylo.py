@@ -174,7 +174,10 @@ def test_active_stats_without_any_infection(tiny_params):
 
 def test_active_stats_track_current_variants(tiny_params):
     w = init_world(tiny_params(mutation_prob=1.0, drift_prob=1.0))
-    w._begin_courses(np.array([50]), w.try_infect(0, 50)[None])  # the course starts at once
+    assert w.rng.bernoulli(w.params.mutation_prob)  # the contact phase's mutation roll
+    course = np.empty((1, 3))
+    w.variant_of[50] = w.try_infect(0, 50, course[0])
+    w._begin_courses(np.array([50]), course)  # the course starts at once
     s = active_variant_stats(w)
     assert s.n_variants == 2
     assert s.mean_phylo_distance == pytest.approx(0.5)

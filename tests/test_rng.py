@@ -164,3 +164,28 @@ def test_peek_uniform_reads_ahead_without_moving_the_stream():
     ahead = rng.peek_uniform(6).tolist()
     assert rng._gen.bit_generator.state == before
     assert [rng.uniform() for _ in range(6)] == ahead
+
+
+# -- the generator's methods, bound once
+
+
+@pytest.mark.parametrize("cached_half_word", [False, True])
+def test_bound_draws_match_bernoulli_and_normal(cached_half_word):
+    # the contact phase's bound random() and standard_normal(out=row) must
+    # make the draws of bernoulli and normal(0.0, 1.0, 3), draw for draw,
+    # also after an integers call that holds a 32-bit half-word back
+    bound, methods = RngStream(57), RngStream(57)
+    if cached_half_word:
+        bound.integers(0, 10, size=3)
+        methods.integers(0, 10, size=3)
+        assert bound.generator.bit_generator.state["has_uint32"] == 1
+    random, standard_normal = bound.generator.random, bound.generator.standard_normal
+    rows = np.empty((300, 3))
+    chances = np.random.default_rng(8).random(300)
+    for row, chance in zip(rows, chances):
+        assert (random() < chance) == methods.bernoulli(chance)
+        standard_normal(out=row)
+        assert row.tolist() == methods.normal(0.0, 1.0, 3).tolist()
+        assert bound.generator.bit_generator.state == methods.generator.bit_generator.state
+    assert bound.integers(0, 10, size=3).tolist() == methods.integers(0, 10, size=3).tolist()
+    assert bound.uniform() == methods.uniform()

@@ -71,3 +71,48 @@ def test_every_private_name_is_used(module):
     }
     unused = {name: line for name, line in _private_definitions(tree).items() if name not in read}
     assert not unused, f"{module} defines private names it never uses: {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(source: str) -> dict:
+    """The private attributes (``obj._name``) the source reads but never
+    assigns, defines as a class member or deletes, mapped to a line."""
+    tree = ast.parse(source)
+    owned, read = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    owned.add(member.name)
+                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                    owned.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Attribute) and _is_private(node.attr):
+            if isinstance(node.ctx, ast.Load):
+                read.setdefault(node.attr, node.lineno)
+            else:
+                owned.add(node.attr)
+    return {name: line for name, line in read.items() if name not in owned}
+
+
+def test_private_read_check_flags_a_foreign_attribute():
+    source = (
+        "class Stream:\n"
+        "    def __init__(self):\n"
+        "        self._gen = None\n"
+        "    def _draw(self):\n"
+        "        return self._gen\n"
+        "def walk(stream, registry):\n"
+        "    return stream._draw(), registry._cl_neighbors, stream.__class__\n"
+    )
+    assert _foreign_private_reads(source) == {"_cl_neighbors": 7}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_attribute_of_another_module_is_read(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        foreign = _foreign_private_reads(fh.read())
+    assert not foreign, f"{module} reads private attributes it does not own: {foreign}"
