@@ -9,11 +9,13 @@ into death or recovery with recursive cross-immunity).
 Agent state is stored column-wise, one numpy array per fact; facts that
 follow from others (the isolation flags, the living and dead counts) are
 derived from them on read.  Per-agent work is batched per phase without
-changing a single draw or its order: the contact phase makes each
-infection's draws in turn but writes the new courses (counter, day marks,
-flags, counts) once after its loop, and the progression phase walks the
-immunity of all of its survivors in one call, which reads its scalar
-draws from a block and then moves the stream just past the ones it used.
+changing a single draw or its order: the contact phase finds its
+infections in numpy, makes each infection's draws in turn through the
+generator's bound methods (and ``try_infect`` for a mutation), and writes
+``variant_of`` and the new courses (counter, day marks, flags, counts) once
+after its loop; the progression phase walks the immunity of all of its
+survivors in one call, over a byte copy of their rows, reading its scalar
+draws from a block and then moving the stream just past the ones it used.
 A world with no active infection is absorbing: its later steps only
 advance ``step_index``.  A ``World`` is confined to a single
 execution context for its whole run; parallelism lives one level up,

@@ -42,22 +42,26 @@ def test_every_import_is_used(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _bound_names(node: ast.stmt) -> list:
+    """The names a def, class or assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _private_definitions(tree: ast.Module) -> dict:
     """The module-level ``_name`` each def, class or assignment binds,
     mapped to its line; dunder names are not private."""
-    names = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in bound:
-            if name.startswith("_") and not name.startswith("__"):
-                names[name] = node.lineno
-    return names
+    return {
+        name: node.lineno for node in tree.body for name in _bound_names(node) if _is_private(name)
+    }
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -73,10 +77,6 @@ def test_every_private_name_is_used(module):
     assert not unused, f"{module} defines private names it never uses: {unused}"
 
 
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def _foreign_private_reads(source: str) -> dict:
     """The private attributes (``obj._name``) the source reads but never
     assigns, defines as a class member or deletes, mapped to a line."""
@@ -84,12 +84,7 @@ def _foreign_private_reads(source: str) -> dict:
     owned, read = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    owned.add(member.name)
-                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
-                    targets = member.targets if isinstance(member, ast.Assign) else [member.target]
-                    owned.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            owned.update(name for member in node.body for name in _bound_names(member))
         elif isinstance(node, ast.Attribute) and _is_private(node.attr):
             if isinstance(node.ctx, ast.Load):
                 read.setdefault(node.attr, node.lineno)
