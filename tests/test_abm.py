@@ -352,22 +352,39 @@ def _scalar_contact_phase(w, blocked):
         w._begin_courses(np.array(agents), np.array(normals))
 
 
-@pytest.mark.parametrize("log_events", [False, True])
-@pytest.mark.parametrize("psi", [0.0, 0.5, 1.0])
-def test_contact_phase_matches_scalar_reference(psi, log_events):
+# isolation on: symptomatic carriers drop out of the carrier list; high
+# fatality: deaths leave gaps in the living agents that contacts draw from
+_CONTACT_CASES = [
+    pytest.param(psi, log_events, {}, id=f"{psi}-{log_events}")
+    for psi in (0.0, 0.5, 1.0)
+    for log_events in (False, True)
+] + [
+    pytest.param(0.5, False, dict(isolate_symptomatic=True), id="isolation"),
+    pytest.param(0.5, True, dict(fatality0=0.4), id="high_fatality"),
+    pytest.param(0.5, False, dict(isolate_symptomatic=True, fatality0=0.4),
+                 id="isolation-high_fatality"),
+]
+
+
+@pytest.mark.parametrize("psi,log_events,overrides", _CONTACT_CASES)
+def test_contact_phase_matches_scalar_reference(psi, log_events, overrides):
     # 20 contacts a day among 300 agents hit many targets twice in a phase;
     # mutation 0.3 with drift 0.5 sends a third of the infections down the
     # mutating path and grows the cluster tree as the run goes
     p = SimParams(n_agents=300, n_initial_infected=10, daily_contacts=20, mutation_prob=0.3,
-                  drift_prob=0.5, cross_immunity=psi, horizon=60, seed=13)
+                  drift_prob=0.5, cross_immunity=psi, horizon=60, seed=13, **overrides)
     batched, scalar = init_world(p, log_events), init_world(p, log_events)
     blocked = []
     scalar.contact_phase = lambda: _scalar_contact_phase(scalar, blocked)
+    isolated_peak = 0
     for _ in range(p.horizon):
         batched.step()
         scalar.step()
         assert batched.state_bytes() == scalar.state_bytes()
+        isolated_peak = max(isolated_peak, int(batched.isolated.sum()))
     assert blocked and batched.cum_mutations > 10 and batched.cum_drifts > 5
+    assert (isolated_peak > 0) == p.isolate_symptomatic
+    assert (batched.cum_deaths > 50) == (p.fatality0 > 0.1)
     assert batched.events == scalar.events
     assert batched.rng.uniform() == scalar.rng.uniform()
     next_integers = [w.rng.integers(0, 1000, size=3).tolist() for w in (batched, scalar)]

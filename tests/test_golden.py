@@ -46,6 +46,11 @@ WORLD_DIGESTS = {
         dict(cross_immunity=1.0, mutation_prob=0.05, drift_prob=0.3),
         "ef2241a093d10f287a5820fefb760549c6cfb5401decb1f9f7ddc01f64011da3",
     ),
+    # isolation on, and 597 of 2,000 agents die, leaving gaps in the living
+    "isolation_high_fatality": (
+        dict(isolate_symptomatic=True, fatality0=0.3, mutation_prob=0.1, drift_prob=0.5),
+        "dd3519d62a1811dffc4e6c3e9fba654c7cafede34ff0a84580e4cae8e7838d37",
+    ),
 }
 
 DATASET_DIGEST = "ef307d93e16975c7613f4c961f1bcf5505f2f3e37de4404418306c22e012bfc8"
