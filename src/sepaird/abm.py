@@ -16,10 +16,13 @@ generator's bound methods (and ``try_infect`` for a mutation), and writes
 after its loop; the progression phase walks the immunity of all of its
 survivors in one call, over a byte copy of their rows, reading its scalar
 draws from a block and then moving the stream just past the ones it used.
-A world with no active infection is absorbing: its later steps only
-advance ``step_index``.  A ``World`` is confined to a single
-execution context for its whole run; parallelism lives one level up,
-across independent replications.
+A step's work follows its infections, not the population: the two phases
+share one list of the infected agents, and the list of the living is
+remade only after a death.  A world with no active infection is
+absorbing: its later steps only advance ``step_index``, so ``run``
+without a callback moves it to its horizon at once.  A ``World`` is
+confined to a single execution context for its whole run; parallelism
+lives one level up, across independent replications.
 """
 
 from __future__ import annotations
@@ -62,6 +65,18 @@ def draw_course(props: np.ndarray, sigma_ii: float, z: np.ndarray) -> np.ndarray
     return np.floor(np.maximum(m + m * sigma_ii * z, 0.0) + 0.5).astype(np.int64)
 
 
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct value
+    in the non-empty ``values``: a stable sort puts the first one of each
+    run of equal values first."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.sort(order[first])
+
+
 class World:
     """Full simulation state: agents, variant registry, counters, rng."""
 
@@ -73,6 +88,7 @@ class World:
         self.step_index = 0
         n = p.n_agents
         self.alive = np.ones(n, dtype=bool)
+        self._living_ids = np.arange(n)
         self.variant_of = np.full(n, _NO_INFECTION, dtype=np.int64)
         self.counter = np.zeros(n, dtype=np.int64)
         self.latent_end = np.zeros(n, dtype=np.int64)
@@ -127,6 +143,14 @@ class World:
     def cum_drifts(self) -> int:
         """Every cluster but the root came from one drift."""
         return self.registry.n_clusters - 1
+
+    def _living(self) -> np.ndarray:
+        """The living agents in ascending id order.  Death is permanent, so
+        the living set is known by its size, and the list is remade only
+        after a death."""
+        if self._living_ids.size != self.n_living:
+            self._living_ids = np.where(self.alive)[0]
+        return self._living_ids
 
     def active_variants(self) -> np.ndarray:
         """Variant ids with at least one active infection, ascending."""
@@ -199,7 +223,7 @@ class World:
 
     # -- phases ----------------------------------------------------------
 
-    def contact_phase(self):
+    def contact_phase(self, infected: np.ndarray | None = None) -> np.ndarray:
         """Carriers meet random living agents and transmit.
 
         Carriers are agents whose counter lies in the infectious window
@@ -221,14 +245,22 @@ class World:
         values but for the sign of a zero, which ``draw_course`` does not
         see.  ``variant_of`` is written and the courses started once, after
         the loop.
+
+        ``infected``, if given, lists the agents with an active infection
+        in ascending id order, as ``np.where(variant_of >= 0)[0]`` does.
+        Returns the agents the phase infected.
         """
-        infected = np.where(self.variant_of >= 0)[0]
+        if infected is None:
+            infected = np.where(self.variant_of >= 0)[0]
         count = self.counter[infected]
-        window = (self.latent_end[infected] <= count) & (count < self.end_day[infected])
-        carriers = infected[window & ~self.isolated[infected]]
-        if carriers.size == 0 or self.n_living <= 1:
-            return
-        living = np.where(self.alive)[0]
+        carrying = (self.latent_end[infected] <= count) & (count < self.end_day[infected])
+        if self.params.isolate_symptomatic:
+            # an infected agent is isolated while its course is symptomatic
+            carrying &= self.symptomatic[infected] != 1
+        carriers = infected[carrying]
+        living = self._living()
+        if carriers.size == 0 or living.size <= 1:
+            return infected[:0]
         eta = self.params.daily_contacts
         positions = np.searchsorted(living, carriers)
         idx = self.rng.integers(0, living.size - 1, size=(carriers.size, eta))
@@ -243,9 +275,9 @@ class World:
         susceptible = ~self.immune[targets, clusters[:, None]]
         rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
         if rows.size == 0:
-            return
+            return infected[:0]
         hits = targets[rows, cols]
-        first = np.sort(np.unique(hits, return_index=True)[1])
+        first = _first_occurrences(hits)
         agents = hits[first]
         variants = source[rows[first]].tolist()
         normals = np.empty((first.size, 3))
@@ -262,8 +294,9 @@ class World:
                     self._log("infection", agents.item(i), variants[i])
         self.variant_of[agents] = variants
         self._begin_courses(agents, normals)
+        return agents
 
-    def progression_phase(self):
+    def progression_phase(self, infected: np.ndarray | None = None):
         """Advance every active infection by one day and fire due events.
 
         Counters increment first.  Courses at or past their symptom day
@@ -271,29 +304,32 @@ class World:
         Courses at or past their end day resolve: death with probability
         ``fatality``, cut by ``1 - cross_protection`` for agents holding
         any immunity, otherwise recovery with immunity propagation.
+        ``infected`` is as for ``contact_phase``.
         """
-        infected = np.where(self.variant_of >= 0)[0]
+        if infected is None:
+            infected = np.where(self.variant_of >= 0)[0]
         if infected.size == 0:
             return
-        self.counter[infected] += 1
-        count = self.counter[infected]
+        count = self.counter[infected] + 1
+        self.counter[infected] = count
+        symptom_day, end_day = self.symptom_day[infected], self.end_day[infected]
         symptoms_due = infected[
             (self.symptomatic[infected] == _UNDETERMINED)
-            & (count >= self.symptom_day[infected])
-            & (self.symptom_day[infected] < self.end_day[infected])
+            & (count >= symptom_day)
+            & (symptom_day < end_day)
         ]
         props = self.registry.props_matrix
         if symptoms_due.size:
             chance = np.minimum(props[self.variant_of[symptoms_due], SYMPTOMATIC_CHANCE], 1.0)
             self.symptomatic[symptoms_due] = self.rng.uniform(size=symptoms_due.size) < chance
-        ending = infected[self.counter[infected] >= self.end_day[infected]]
+        ending = infected[count >= end_day]
         if ending.size == 0:
             return
-        fatality = np.minimum(props[self.variant_of[ending], FATALITY], 1.0)
+        variants = self.variant_of[ending]
+        fatality = np.minimum(props[variants, FATALITY], 1.0)
         protected = self.immune[ending, : self.registry.n_clusters].any(axis=1)
         fatality = np.where(protected, fatality * (1.0 - self.params.cross_protection), fatality)
         dies = self.rng.uniform(size=ending.size) < fatality
-        variants = self.variant_of[ending]
         clusters = self.registry.variant_cluster[variants]
         np.subtract.at(self.active_count, variants, 1)
         self.variant_of[ending] = _NO_INFECTION
@@ -355,12 +391,22 @@ class World:
 
         A world with no active infection is absorbing: neither phase could
         draw or change anything, so such a step only advances the clock.
+        The phases share one list of the infected agents, to which the
+        contact phase only adds.
         """
         self.step_index += 1
-        if self.n_infected == 0:
+        infected = np.where(self.variant_of >= 0)[0]
+        if infected.size == 0:
             return
-        self.contact_phase()
-        self.progression_phase()
+        new = self.contact_phase(infected)
+        if new.size:
+            infected = np.concatenate((infected, new))
+            # sorting a short list costs less than a second pass over everyone
+            if 8 * infected.size < self.params.n_agents:
+                infected.sort()
+            else:
+                infected = np.where(self.variant_of >= 0)[0]
+        self.progression_phase(infected)
         active = self.active_variants()
         if active.size:
             self.last_active_variants = tuple(int(x) for x in active)
@@ -404,8 +450,17 @@ def init_world(p: SimParams, log_events: bool = False) -> World:
 
 
 def run(w: World, callback=None) -> World:
-    """Advance ``w`` to its parameter horizon, calling back after each step."""
-    while w.step_index < w.params.horizon:
+    """Advance ``w`` to its parameter horizon, calling back after each step.
+
+    Without a callback, a world with no active infection moves to the
+    horizon at once: it is absorbing, so its later steps would only
+    advance ``step_index``.
+    """
+    horizon = w.params.horizon
+    while w.step_index < horizon:
+        if callback is None and w.n_infected == 0:
+            w.step_index = horizon
+            break
         w.step()
         if callback is not None:
             callback(w)

@@ -14,9 +14,13 @@ order for the sweep tasks and the manifest.
 A replication fills its own block of the dataset table.  ``metric_row``
 observes its steps up to the first extinct one, returning each row's
 values in column order and reusing the active-variant summary while the
-variant set it describes is unchanged; the frozen steps after extinction
-are filled at the end with copies of that row.  ``sweep`` allocates the
-table once and copies each block into its rows as it arrives.
+variant set it describes is unchanged; the world then finishes through
+``abm.run``, which moves it to its horizon without stepping.  The frozen
+steps after extinction are never observed: their rows are copies of the
+first extinct row, each with its own step.  A sweep worker sends only the
+observed rows, and ``sweep``, which allocates the table once, copies them
+into the replication's block and fills its tail there, through the same
+helper as ``collect_world_run``.
 
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, which also name ``SweepGrid``'s value lists and the keys of
@@ -44,7 +48,7 @@ non-finite required cell or outlier, or a NUL, with its line number.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
-table, each returned as a table.  ``validate_request`` checks the metric
+table (for a box, of its rows at the step), each returned as a table.  ``validate_request`` checks the metric
 and the quantile levels of a request, and needs no dataset.
 """
 
@@ -163,40 +167,49 @@ def metric_row(w, replication: int, memo: dict | None = None) -> tuple:
         w.step_index,
         n_infected / n,
         w.cum_deaths / n,
-        int(w.ever_infected.sum()) / n,
+        np.count_nonzero(w.ever_infected) / n,
         *stats[:_N_VARIANT_COLUMNS],
         stats.n_variants if n_infected else 0,
         n_infected == 0,
     )
 
 
-def collect_world_run(w, replication: int = 0) -> np.ndarray:
-    """Advance a fresh world to its horizon: one ``DATASET_DTYPE`` row per step.
+def _observe_run(w, replication: int, block: np.ndarray) -> int:
+    """Step ``w`` and write its rows into ``block``, one per step, up to
+    its first extinct row; return how many were written.
 
     Steps are observed by ``metric_row``, which reuses the variant summary
-    while the variant set is unchanged, up to the first extinct row.  An
-    extinct world is frozen, so the rows after that one are filled once
-    the run has ended: copies of it, each with its own ``step``.
+    while the variant set is unchanged.  The world then finishes through
+    ``run``, which moves an extinct world to its horizon at once.
     """
-    first_step = w.step_index
-    block = np.empty(w.params.horizon - first_step, dtype=DATASET_DTYPE)
     memo = {}
     observed = 0
-    extinct = False
-
-    def observe(world):
-        nonlocal observed, extinct
-        if extinct:
-            return
-        row = metric_row(world, replication, memo)
+    while observed < block.size:
+        w.step()
+        row = metric_row(w, replication, memo)
         block[observed] = row
         observed += 1
-        extinct = row[-1]
+        if row[-1]:
+            break
+    run(w)
+    return observed
 
-    run(w, callback=observe)
+
+def _fill_tail(block: np.ndarray, observed: int) -> None:
+    """Fill the rows of ``block`` after its first ``observed`` ones.  An
+    extinct world is frozen, so they are copies of the last observed row,
+    the first extinct one, each with its own ``step``."""
     if observed < block.size:
         block[observed:] = block[observed - 1]
-        block["step"][observed:] = np.arange(first_step + observed + 1, first_step + block.size + 1)
+        steps = block["step"]
+        steps[observed:] = steps[observed - 1] + np.arange(1, block.size - observed + 1)
+
+
+def collect_world_run(w, replication: int = 0) -> np.ndarray:
+    """Advance a fresh world to its horizon: one ``DATASET_DTYPE`` row per
+    step, observed up to the first extinct one and filled after it."""
+    block = np.empty(w.params.horizon - w.step_index, dtype=DATASET_DTYPE)
+    _fill_tail(block, _observe_run(w, replication, block))
     return block
 
 
@@ -281,10 +294,13 @@ def _replications(grid: SweepGrid):
 
 def _sweep_task(base: SimParams, task) -> tuple:
     """Run task ``(canonical index, (scenario, replication, seed))`` of
-    ``enumerate(_replications(grid))`` on ``base``: its index and block."""
+    ``enumerate(_replications(grid))`` on ``base``: its index and the
+    observed rows of its block, up to the first extinct one.  The sweep
+    fills the rest, so a worker never sends the frozen tail."""
     index, (scenario, replication, seed) = task
     p = dataclasses.replace(scenario.apply(base), seed=seed)
-    return index, collect_world_run(init_world(p), replication)
+    block = np.empty(p.horizon, dtype=DATASET_DTYPE)
+    return index, block[: _observe_run(init_world(p), replication, block)]
 
 
 _row_values = operator.attrgetter(*CSV_COLUMNS)
@@ -325,9 +341,10 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     """Run the full grid; ``jobs`` workers never change the result.
 
     Rows come back sorted by (scenario ordinal, replication, step): each
-    replication's block is copied into its rows of the table as it
-    arrives.  ``progress`` is called after each finished replication with
-    (done, total).
+    replication's observed rows are copied into its block of the table as
+    they arrive, and the block's extinct tail is filled there.
+    ``progress`` is called after each finished replication with (done,
+    total).
     """
     validate_sweep(grid, jobs)
     total = len(grid.scenarios()) * grid.replications
@@ -335,8 +352,10 @@ def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
     table = np.empty((total, grid.horizon), dtype=DATASET_DTYPE)
 
     def collect(results):
-        for done, (index, block) in enumerate(results, start=1):
-            table[index] = block
+        for done, (index, rows) in enumerate(results, start=1):
+            block = table[index]
+            block[: rows.size] = rows
+            _fill_tail(block, rows.size)
             if progress is not None:
                 progress(done, total)
 
@@ -548,9 +567,10 @@ def read_dataset(path) -> SweepDataset:
 # -- aggregation -------------------------------------------------------------
 
 
-def _groups(table: np.ndarray, keys) -> tuple:
-    """The row order that sorts ``table`` by ``keys`` (stable, first key
-    first) and the sorted position at which each run of equal keys starts."""
+def _groups(table, keys) -> tuple:
+    """The row order that sorts ``table`` (a table, or a dict of its
+    columns) by ``keys`` (stable, first key first) and the sorted position
+    at which each run of equal keys starts."""
     order = np.lexsort([table[name] for name in reversed(keys)])
     new_group = np.zeros(order.size, dtype=bool)
     new_group[:1] = True
@@ -558,6 +578,19 @@ def _groups(table: np.ndarray, keys) -> tuple:
         column = table[name][order]
         new_group[1:] |= column[1:] != column[:-1]
     return order, np.flatnonzero(new_group)
+
+
+def _scenario_count(table: np.ndarray) -> int:
+    """The number of distinct scenarios in ``table``.  Each run of rows with
+    equal scenario cells holds one scenario, so only the first row of each
+    run is sorted: one row per block of a table written in scenario order."""
+    heads = np.zeros(len(table), dtype=bool)
+    heads[:1] = True
+    for name in SCENARIO_FIELDS:
+        column = table[name]
+        heads[1:] |= column[1:] != column[:-1]
+    firsts = {name: table[name][heads] for name in SCENARIO_FIELDS}
+    return _groups(firsts, SCENARIO_FIELDS)[1].size
 
 
 def validate_request(metric: str, quantiles: Sequence[float] = ()) -> None:
@@ -630,7 +663,7 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> np.ndarray:
     at_step = table[table["step"] == step]
     order, starts = _groups(at_step, SCENARIO_FIELDS)
     values = _metric_values(at_step, metric, order)
-    if starts.size < _groups(table, SCENARIO_FIELDS)[1].size:
+    if starts.size < _scenario_count(table):
         raise DatasetError(f"no data at step {step}")
     sizes = np.diff(starts, append=values.size)
     group = np.repeat(np.arange(starts.size), sizes)

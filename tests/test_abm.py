@@ -320,13 +320,14 @@ def _scalar_infect(w, source_variant, target):
 def _scalar_contact_phase(w, blocked):
     """Reference contact phase: the successful contacts in (carrier,
     contact) order, each infecting its target in turn unless an earlier
-    one already did; ``blocked`` counts the contacts that were blocked."""
+    one already did; ``blocked`` counts the contacts that were blocked.
+    Returns the agents it infected, as ``World.contact_phase`` does."""
     infected = np.where(w.variant_of >= 0)[0]
     count = w.counter[infected]
     window = (w.latent_end[infected] <= count) & (count < w.end_day[infected])
     carriers = infected[window & ~w.isolated[infected]]
     if carriers.size == 0 or w.n_living <= 1:
-        return
+        return np.empty(0, dtype=np.int64)
     living = np.where(w.alive)[0]
     eta = w.params.daily_contacts
     positions = np.searchsorted(living, carriers)
@@ -348,8 +349,10 @@ def _scalar_contact_phase(w, blocked):
             agents.append(target)
         else:
             blocked.append(target)
-    if agents:
-        w._begin_courses(np.array(agents), np.array(normals))
+    agents = np.array(agents, dtype=np.int64)
+    if agents.size:
+        w._begin_courses(agents, np.array(normals))
+    return agents
 
 
 # isolation on: symptomatic carriers drop out of the carrier list; high
@@ -375,7 +378,8 @@ def test_contact_phase_matches_scalar_reference(psi, log_events, overrides):
                   drift_prob=0.5, cross_immunity=psi, horizon=60, seed=13, **overrides)
     batched, scalar = init_world(p, log_events), init_world(p, log_events)
     blocked = []
-    scalar.contact_phase = lambda: _scalar_contact_phase(scalar, blocked)
+    # the reference lists the infected agents itself
+    scalar.contact_phase = lambda infected: _scalar_contact_phase(scalar, blocked)
     isolated_peak = 0
     for _ in range(p.horizon):
         batched.step()
@@ -617,6 +621,50 @@ def test_step_on_extinct_world_only_advances_clock():
     assert np.frombuffer(after[:8], dtype=np.int64)[0] == 35
     assert after[8:] == before[8:]
     assert w.rng.uniform(size=4).tolist() == twin.rng.uniform(size=4).tolist()
+
+
+def test_step_shares_the_infected_list_between_phases():
+    # course_sd_frac 1 rounds many day marks to 0 or 1, so courses begun in
+    # a contact phase draw symptoms or resolve in the same step; the twin's
+    # phases list the infected agents afresh.  The run passes through both
+    # ways of extending the list: sorting a short one and a second pass
+    p = SimParams(n_agents=2000, n_initial_infected=10, daily_contacts=8, course_sd_frac=1.0,
+                  mutation_prob=0.3, drift_prob=0.5, fatality0=0.3, horizon=60, seed=3)
+    shared, fresh = init_world(p), init_world(p)
+    fresh.contact_phase = lambda infected: abm.World.contact_phase(fresh)
+    fresh.progression_phase = lambda infected: abm.World.progression_phase(fresh)
+    short = 0
+    for _ in range(p.horizon):
+        short += 8 * shared.n_infected < p.n_agents
+        shared.step()
+        fresh.step()
+        assert shared.state_bytes() == fresh.state_bytes()
+    assert 0 < short < p.horizon and shared.cum_deaths > 100
+
+
+def test_run_moves_an_extinct_world_to_its_horizon(monkeypatch):
+    # seed 9 mutates, drifts once and dies out at step 24
+    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
+                  social_distancing=0.7, horizon=80, seed=9)
+    stepped, w, called = init_world(p), init_world(p), init_world(p)
+    while stepped.step_index < p.horizon:
+        stepped.step()
+    while w.n_infected:
+        w.step()
+        called.step()
+    assert w.step_index == 24
+    steps = []
+    step = abm.World.step
+    monkeypatch.setattr(abm.World, "step", lambda self: steps.append(self) or step(self))
+    assert run(w) is w
+    assert steps == [] and w.step_index == p.horizon
+    assert w.state_bytes() == stepped.state_bytes()
+    assert w.rng.uniform(size=4).tolist() == stepped.rng.uniform(size=4).tolist()
+    # a callback still sees every step
+    seen = []
+    run(called, callback=lambda world: seen.append(world.step_index))
+    assert seen == list(range(25, p.horizon + 1)) and len(steps) == len(seen)
+    assert called.state_bytes() == stepped.state_bytes()
 
 
 def test_scenario_metric_row_fields(tiny_params):

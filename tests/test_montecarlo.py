@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sepaird import montecarlo
-from sepaird.abm import init_world, run
+from sepaird.abm import World, init_world, run
 from sepaird.montecarlo import (
     BOX_COLUMNS,
     BOX_DTYPE,
@@ -331,11 +331,44 @@ def test_sweep_workers_do_not_change_rows(mini_grid, mini_dataset):
 
 
 def test_sweep_task_returns_one_table_block(mini_grid):
-    # workers send numpy blocks, so no MetricRow is pickled across the pool
+    # workers send numpy blocks, so no MetricRow is pickled across the pool;
+    # this replication never dies out, so every row is observed
     index, block = _sweep_task(mini_grid.base, next(enumerate(_replications(mini_grid))))
     assert index == 0
     assert block.dtype == DATASET_DTYPE
     assert block["step"].tolist() == list(range(1, mini_grid.horizon + 1))
+
+
+# every replication of this grid dies out inside the horizon
+DYING_GRID = SweepGrid(
+    base=SimParams(n_agents=500, horizon=150, seed=42),
+    mutation_prob=(0.0, 0.05),
+    cross_immunity=(0.9,),
+    cross_protection=(0.99,),
+    isolate_symptomatic=(False,),
+    social_distancing=(0.6, 0.8),
+    replications=4,
+)
+
+
+def test_sweep_task_sends_only_the_observed_rows():
+    grid = DYING_GRID
+    table = sweep(grid).table.reshape(-1, grid.horizon)
+    assert table.tobytes() == sweep(grid, jobs=2).table.tobytes()
+    sizes = []
+    for task in enumerate(_replications(grid)):
+        index, rows = _sweep_task(grid.base, task)
+        scenario, replication, seed = task[1]
+        sizes.append(rows.size)
+        # the rows up to the first extinct one, or to the horizon
+        assert rows["step"].tolist() == list(range(1, rows.size + 1))
+        assert not rows["extinct"][:-1].any()
+        assert rows["extinct"][-1] or rows.size == grid.horizon
+        # the sweep fills the rest as the whole run would
+        p = dataclasses.replace(scenario.apply(grid.base), seed=seed)
+        assert table[index].tobytes() == collect_world_run(init_world(p), replication).tobytes()
+        assert table[index][: rows.size].tobytes() == rows.tobytes()
+    assert max(sizes) < grid.horizon
 
 
 def test_sweep_holds_the_table_once():
@@ -369,11 +402,18 @@ def test_sweep_progress_callback(mini_grid):
 
 
 @pytest.mark.parametrize("seed,extinct_at", [(2, None), (9, 24), (11, 40)])
-def test_collect_world_run_matches_observing_every_step(seed, extinct_at):
+def test_collect_world_run_matches_observing_every_step(seed, extinct_at, monkeypatch):
     # seeds 9 and 11 mutate and drift before they die out; seed 2 survives
     p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
                   social_distancing=0.7, horizon=80, seed=seed)
-    block = collect_world_run(init_world(p), replication=3)
+    steps = []
+    step = World.step
+    monkeypatch.setattr(World, "step", lambda self: steps.append(self) or step(self))
+    w = init_world(p)
+    block = collect_world_run(w, replication=3)
+    monkeypatch.undo()
+    # the world is stepped through its first extinct row only, yet finished
+    assert len(steps) == (extinct_at or p.horizon) and w.step_index == p.horizon
     # no memo: the reference summarises the variants afresh at every step
     reference = []
     run(init_world(p), callback=lambda w: reference.append(MetricRow(*metric_row(w, 3))))
@@ -382,6 +422,16 @@ def test_collect_world_run_matches_observing_every_step(seed, extinct_at):
     extinct = block["step"][block["extinct"]].tolist()
     assert extinct[:1] == ([extinct_at] if extinct_at else [])
     assert len(extinct) == (p.horizon - extinct_at + 1 if extinct_at else 0)
+
+
+def test_collect_world_run_without_infections_steps_once(monkeypatch):
+    p = SimParams(n_agents=100, n_initial_infected=0, horizon=30, seed=1)
+    steps = []
+    step = World.step
+    monkeypatch.setattr(World, "step", lambda self: steps.append(self) or step(self))
+    block = collect_world_run(init_world(p))
+    assert len(steps) == 1
+    assert block["extinct"].all() and block["step"].tolist() == list(range(1, 31))
 
 
 def test_collect_world_run_refreshes_the_summary_when_only_a_cluster_opens():
@@ -764,6 +814,23 @@ def test_notched_box_small_oracle():
 def test_notched_box_requires_data_at_step(mini_dataset):
     with pytest.raises(DatasetError, match="no data at step"):
         notched_box(mini_dataset, "mortality", step=999)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_notched_box_requires_every_scenario_at_step(shuffled):
+    # the other scenario's rows stop at step 2, and the first one's -0.0
+    # rows are the same scenario as its 0.0 rows
+    other = dataclasses.replace(BASE_SCENARIO, social_distancing=0.5)
+    signed = dataclasses.replace(BASE_SCENARIO, social_distancing=-0.0)
+    rows = [make_row(BASE_SCENARIO, rep, step) for rep in range(3) for step in (1, 2, 3)]
+    rows += [make_row(signed, 3, step) for step in (1, 2, 3)]
+    rows += [make_row(other, rep, step) for rep in range(3) for step in (1, 2)]
+    if shuffled:
+        random.Random(5).shuffle(rows)
+    dataset = SweepDataset.from_rows(rows)
+    assert len(notched_box(dataset, "mortality", step=2)) == 2
+    with pytest.raises(DatasetError, match="no data at step 3"):
+        notched_box(dataset, "mortality", step=3)
 
 
 def test_notched_box_per_scenario(mini_dataset):
