@@ -401,19 +401,24 @@ def test_sweep_progress_callback(mini_grid):
     assert ticks == [(i, 4) for i in range(1, 5)]
 
 
-@pytest.mark.parametrize("seed,extinct_at", [(2, None), (9, 24), (11, 40)])
-def test_collect_world_run_matches_observing_every_step(seed, extinct_at, monkeypatch):
-    # seeds 9 and 11 mutate and drift before they die out; seed 2 survives
-    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
-                  social_distancing=0.7, horizon=80, seed=seed)
+@pytest.fixture
+def world_steps(monkeypatch):
+    """One entry per ``World.step`` call from now on."""
     steps = []
     step = World.step
     monkeypatch.setattr(World, "step", lambda self: steps.append(self) or step(self))
+    return steps
+
+
+@pytest.mark.parametrize("seed,extinct_at", [(2, None), (9, 24), (11, 40)])
+def test_collect_world_run_matches_observing_every_step(seed, extinct_at, world_steps):
+    # seeds 9 and 11 mutate and drift before they die out; seed 2 survives
+    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
+                  social_distancing=0.7, horizon=80, seed=seed)
     w = init_world(p)
     block = collect_world_run(w, replication=3)
-    monkeypatch.undo()
     # the world is stepped through its first extinct row only, yet finished
-    assert len(steps) == (extinct_at or p.horizon) and w.step_index == p.horizon
+    assert len(world_steps) == (extinct_at or p.horizon) and w.step_index == p.horizon
     # no memo: the reference summarises the variants afresh at every step
     reference = []
     run(init_world(p), callback=lambda w: reference.append(MetricRow(*metric_row(w, 3))))
@@ -424,13 +429,10 @@ def test_collect_world_run_matches_observing_every_step(seed, extinct_at, monkey
     assert len(extinct) == (p.horizon - extinct_at + 1 if extinct_at else 0)
 
 
-def test_collect_world_run_without_infections_steps_once(monkeypatch):
+def test_collect_world_run_without_infections_steps_once(world_steps):
     p = SimParams(n_agents=100, n_initial_infected=0, horizon=30, seed=1)
-    steps = []
-    step = World.step
-    monkeypatch.setattr(World, "step", lambda self: steps.append(self) or step(self))
     block = collect_world_run(init_world(p))
-    assert len(steps) == 1
+    assert len(world_steps) == 1
     assert block["extinct"].all() and block["step"].tolist() == list(range(1, 31))
 
 
