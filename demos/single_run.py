@@ -38,8 +38,8 @@ def main():
     summary = active_variant_stats(w)
     label = "last surviving" if summary.extinct else "currently active"
     print(f"\n{label} variants ({summary.n_variants}):")
-    ids = w.last_active_variants if summary.extinct else tuple(w.active_variants())
-    for vid in list(ids)[:8]:
+    ids = w.last_active_variants if summary.extinct else w.active_variants()
+    for vid in ids[:8]:
         props = reg.props_matrix[vid]
         r0 = variant_r0(props, p.daily_contacts)
         ratio = variant_r0_adapted(props, p.daily_contacts) / r0 if r0 > 0.0 else 1.0

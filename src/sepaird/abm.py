@@ -6,23 +6,25 @@ meet random living agents, infections may mutate and drift) followed by
 a progression phase (counters advance, symptoms appear, courses resolve
 into death or recovery with recursive cross-immunity).
 
-Agent state is stored column-wise, one numpy array per fact; facts that
-follow from others (the isolation flags, the living and dead counts) are
-derived from them on read.  Per-agent work is batched per phase without
-changing a single draw or its order: the contact phase finds its
-infections in numpy, makes each infection's draws in turn through the
-generator's bound methods (and ``try_infect`` for a mutation), and writes
-``variant_of`` and the new courses (counter, day marks, flags, counts) once
-after its loop; the progression phase walks the immunity of all of its
-survivors in one call, over a byte copy of their rows, reading its scalar
-draws from a block and then moving the stream just past the ones it used.
-A step's work follows its infections, not the population: the two phases
-share one list of the infected agents, and the list of the living is
-remade only after a death.  A world with no active infection is
-absorbing: its later steps only advance ``step_index``, so ``run``
-without a callback moves it to its horizon at once.  A ``World`` is
-confined to a single execution context for its whole run; parallelism
-lives one level up, across independent replications.
+Agent state is stored column-wise, one numpy array per fact; the three day
+marks of a course are one fact, ``course_marks``, an ``(n_agents, 3)``
+block in ``draw_course`` order.  Facts that follow from others (the
+isolation flags, the living and dead counts) are derived from them on
+read.  Per-agent work is batched per phase without changing a single draw
+or its order: the contact phase finds its infections in numpy, makes each
+infection's draws in turn through the generator's bound methods (and
+``try_infect`` for a mutation), and writes ``variant_of`` and the new
+courses (counter, marks, flags, counts) once after its loop; the
+progression phase walks the immunity of all of its survivors in one call,
+over a byte copy of their rows, reading its scalar draws from a block and
+then moving the stream just past the ones it used.  A step's work follows
+its infections, not the population: ``step`` is the only driver of the
+phases, listing the infected agents once and handing the list to both, and
+the list of the living is remade only after a death.  A world with no
+active infection is absorbing: its later steps only advance
+``step_index``, so ``run`` without a callback moves it to its horizon at
+once.  A ``World`` is confined to a single execution context for its whole
+run; parallelism lives one level up, across independent replications.
 """
 
 from __future__ import annotations
@@ -91,16 +93,14 @@ class World:
         self._living_ids = np.arange(n)
         self.variant_of = np.full(n, _NO_INFECTION, dtype=np.int64)
         self.counter = np.zeros(n, dtype=np.int64)
-        self.latent_end = np.zeros(n, dtype=np.int64)
-        self.symptom_day = np.zeros(n, dtype=np.int64)
-        self.end_day = np.zeros(n, dtype=np.int64)
+        self.course_marks = np.zeros((n, 3), dtype=np.int64)
         self.symptomatic = np.full(n, _UNDETERMINED, dtype=np.int8)
         self.ever_infected = np.zeros(n, dtype=bool)
         self.immune = np.zeros((n, 8), dtype=bool)
         self.active_count = np.zeros(8, dtype=np.int64)
         self.cum_infections = 0
         # the seed infections are all wild type
-        self.last_active_variants: tuple = (0,)
+        self.last_active_variants = np.zeros(1, dtype=np.int64)
         self.events = [] if log_events else None
         seeds = np.arange(p.n_initial_infected)
         normals = self.rng.normal(0.0, 1.0, (seeds.size, 3))
@@ -171,9 +171,7 @@ class World:
         variants = self.variant_of[agents]
         marks = draw_course(self.registry.props_matrix[variants], self.params.course_sd_frac, normals)
         self.counter[agents] = 0
-        self.latent_end[agents] = marks[:, 0]
-        self.symptom_day[agents] = marks[:, 1]
-        self.end_day[agents] = marks[:, 2]
+        self.course_marks[agents] = marks
         self.symptomatic[agents] = _UNDETERMINED
         self.ever_infected[agents] = True
         np.add.at(self.active_count, variants, 1)
@@ -223,7 +221,7 @@ class World:
 
     # -- phases ----------------------------------------------------------
 
-    def contact_phase(self, infected: np.ndarray | None = None) -> np.ndarray:
+    def contact_phase(self, infected: np.ndarray) -> np.ndarray:
         """Carriers meet random living agents and transmit.
 
         Carriers are agents whose counter lies in the infectious window
@@ -246,14 +244,14 @@ class World:
         see.  ``variant_of`` is written and the courses started once, after
         the loop.
 
-        ``infected``, if given, lists the agents with an active infection
-        in ascending id order, as ``np.where(variant_of >= 0)[0]`` does.
-        Returns the agents the phase infected.
+        ``infected`` lists the agents with an active infection in ascending
+        id order, as ``np.flatnonzero(variant_of >= 0)`` does.  Returns the
+        agents the phase infected.
         """
-        if infected is None:
-            infected = np.where(self.variant_of >= 0)[0]
         count = self.counter[infected]
-        carrying = (self.latent_end[infected] <= count) & (count < self.end_day[infected])
+        # take gathers rows several times faster than indexing a 2-D array
+        latent_end, _, end_day = self.course_marks.take(infected, axis=0).T
+        carrying = (latent_end <= count) & (count < end_day)
         if self.params.isolate_symptomatic:
             # an infected agent is isolated while its course is symptomatic
             carrying &= self.symptomatic[infected] != 1
@@ -296,7 +294,7 @@ class World:
         self._begin_courses(agents, normals)
         return agents
 
-    def progression_phase(self, infected: np.ndarray | None = None):
+    def progression_phase(self, infected: np.ndarray):
         """Advance every active infection by one day and fire due events.
 
         Counters increment first.  Courses at or past their symptom day
@@ -306,13 +304,9 @@ class World:
         any immunity, otherwise recovery with immunity propagation.
         ``infected`` is as for ``contact_phase``.
         """
-        if infected is None:
-            infected = np.where(self.variant_of >= 0)[0]
-        if infected.size == 0:
-            return
         count = self.counter[infected] + 1
         self.counter[infected] = count
-        symptom_day, end_day = self.symptom_day[infected], self.end_day[infected]
+        _, symptom_day, end_day = self.course_marks.take(infected, axis=0).T
         symptoms_due = infected[
             (self.symptomatic[infected] == _UNDETERMINED)
             & (count >= symptom_day)
@@ -409,7 +403,7 @@ class World:
         self.progression_phase(infected)
         active = self.active_variants()
         if active.size:
-            self.last_active_variants = tuple(int(x) for x in active)
+            self.last_active_variants = active
 
     def state_bytes(self) -> bytes:
         """Canonical byte serialization of the full mutable state."""
@@ -424,9 +418,7 @@ class World:
             self.alive.tobytes(),
             self.variant_of.tobytes(),
             self.counter.tobytes(),
-            self.latent_end.tobytes(),
-            self.symptom_day.tobytes(),
-            self.end_day.tobytes(),
+            np.ascontiguousarray(self.course_marks.T).tobytes(),
             self.symptomatic.tobytes(),
             self.isolated.tobytes(),
             self.ever_infected.tobytes(),
@@ -434,7 +426,7 @@ class World:
             reg.props_matrix.tobytes(),
             reg.variant_cluster.tobytes(),
             reg.variant_depth.tobytes(),
-            np.array(sorted(self.last_active_variants), dtype=np.int64).tobytes(),
+            self.last_active_variants.tobytes(),
             reg.cluster_parents.tobytes(),
         ]
         return b"".join(parts)

@@ -119,7 +119,7 @@ def active_variant_stats(w, memo: dict | None = None) -> ActiveVariantSummary:
     ids = w.active_variants()
     extinct = ids.size == 0
     if extinct:
-        ids = np.asarray(w.last_active_variants, dtype=np.int64)
+        ids = w.last_active_variants
     if memo is None:
         return summarize_variants(w.registry, ids, w.params.daily_contacts, extinct)
     key = (ids.tobytes(), extinct, w.registry.n_clusters)

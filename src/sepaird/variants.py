@@ -151,14 +151,11 @@ class Registry:
     def cluster_depths(self) -> np.ndarray:
         return self._cl_depth[: self.n_clusters]
 
-    def cluster_neighbors(self, cid: int) -> tuple:
-        """Tree neighbors of a cluster: parent first, then children in order."""
-        return self._cl_neighbors[cid]
-
     @property
     def neighbor_table(self) -> list:
-        """Every cluster's ``cluster_neighbors`` tuple, indexed by id: the
-        registry's own list, for loops that look many up; read it only."""
+        """Every cluster's tree neighbors, indexed by id: a tuple of the
+        parent first, then the children in order.  The registry's own list,
+        for loops that look many up; read it only."""
         return self._cl_neighbors
 
     def max_cluster_depth(self) -> int:

@@ -85,7 +85,7 @@ def test_initial_world_state(tiny_params):
     assert np.all(w.symptomatic[:5] == abm._UNDETERMINED)
     assert w.alive.all() and not w.immune.any()
     assert w.registry.n_variants == 1
-    assert w.last_active_variants == (0,)
+    assert w.last_active_variants.tolist() == [0]
     assert w.active_variants().tolist() == [0]
 
 
@@ -97,7 +97,7 @@ def test_world_rejects_invalid_params():
 def test_world_without_seed_infections(tiny_params):
     w = init_world(tiny_params(n_initial_infected=0))
     assert w.n_infected == 0
-    assert w.last_active_variants == (0,)  # wild type stands in for stats
+    assert w.last_active_variants.tolist() == [0]  # wild type stands in for stats
 
 
 def test_run_respects_horizon_and_callback(tiny_params):
@@ -125,8 +125,8 @@ def test_single_carrier_infections_match_binomial():
             seed=rep,
         )
         w = init_world(p)
-        w.counter[0] = w.latent_end[0]  # move the carrier into its window
-        w.contact_phase()
+        w.counter[0] = w.course_marks[0, 0]  # move the carrier into its window
+        w.contact_phase(np.flatnonzero(w.variant_of >= 0))
         counts.append(w.n_infected - 1)
     counts = np.array(counts)
     assert counts.max() <= eta
@@ -204,7 +204,7 @@ def _scalar_walk(world, agents, clusters):
         row[cluster] = True
         queue = deque([cluster])
         while queue:
-            for neighbor in world.registry.cluster_neighbors(queue.popleft()):
+            for neighbor in world.registry.neighbor_table[queue.popleft()]:
                 if not row[neighbor] and world.rng.bernoulli(psi):
                     row[neighbor] = True
                     queue.append(neighbor)
@@ -324,7 +324,8 @@ def _scalar_contact_phase(w, blocked):
     Returns the agents it infected, as ``World.contact_phase`` does."""
     infected = np.where(w.variant_of >= 0)[0]
     count = w.counter[infected]
-    window = (w.latent_end[infected] <= count) & (count < w.end_day[infected])
+    latent_end, _, end_day = w.course_marks[infected].T
+    window = (latent_end <= count) & (count < end_day)
     carriers = infected[window & ~w.isolated[infected]]
     if carriers.size == 0 or w.n_living <= 1:
         return np.empty(0, dtype=np.int64)
@@ -463,7 +464,7 @@ def test_distancing_scales_transmission():
         )
         w = init_world(p)
         w.counter[:50] = 4
-        w.contact_phase()
+        w.contact_phase(np.flatnonzero(w.variant_of >= 0))
         counts[delta] = w.n_infected - 50
     # expected means 31.25 vs 6.25; a 3-sigma band keeps this stable
     assert counts[0.8] < counts[0.0] * 0.5
@@ -623,6 +624,26 @@ def test_step_on_extinct_world_only_advances_clock():
     assert w.rng.uniform(size=4).tolist() == twin.rng.uniform(size=4).tolist()
 
 
+def test_last_active_variants_follows_the_active_set():
+    # seed 9 mutates, drifts once and dies out at step 24
+    p = SimParams(n_agents=400, n_initial_infected=5, mutation_prob=0.2, drift_prob=0.5,
+                  social_distancing=0.7, horizon=30, seed=9)
+    w = init_world(p)
+    sets = []
+    while w.n_infected:
+        w.step()
+        last = w.last_active_variants
+        assert isinstance(last, np.ndarray) and last.dtype == np.int64
+        if w.n_infected:
+            assert last.tolist() == w.active_variants().tolist()
+            sets.append(last.tolist())
+    assert w.step_index == 24 and any(s != [0] for s in sets)
+    assert w.last_active_variants.tolist() == sets[-1]
+    while w.step_index < p.horizon:
+        w.step()
+        assert w.last_active_variants.tolist() == sets[-1]
+
+
 def test_step_shares_the_infected_list_between_phases():
     # course_sd_frac 1 rounds many day marks to 0 or 1, so courses begun in
     # a contact phase draw symptoms or resolve in the same step; the twin's
@@ -631,8 +652,10 @@ def test_step_shares_the_infected_list_between_phases():
     p = SimParams(n_agents=2000, n_initial_infected=10, daily_contacts=8, course_sd_frac=1.0,
                   mutation_prob=0.3, drift_prob=0.5, fatality0=0.3, horizon=60, seed=3)
     shared, fresh = init_world(p), init_world(p)
-    fresh.contact_phase = lambda infected: abm.World.contact_phase(fresh)
-    fresh.progression_phase = lambda infected: abm.World.progression_phase(fresh)
+    fresh.contact_phase = lambda infected: abm.World.contact_phase(
+        fresh, np.flatnonzero(fresh.variant_of >= 0))
+    fresh.progression_phase = lambda infected: abm.World.progression_phase(
+        fresh, np.flatnonzero(fresh.variant_of >= 0))
     short = 0
     for _ in range(p.horizon):
         short += 8 * shared.n_infected < p.n_agents

@@ -285,8 +285,8 @@ def test_c8_property_oracles():
         p = SimParams(n_agents=1000, n_initial_infected=1, course_sd_frac=0.0,
                       mutation_prob=0.0, seed=rep)
         w = init_world(p)
-        w.counter[0] = w.latent_end[0]
-        w.contact_phase()
+        w.counter[0] = w.course_marks[0, 0]
+        w.contact_phase(np.flatnonzero(w.variant_of >= 0))
         counts.append(w.n_infected - 1)
     se = np.sqrt(10 * 0.0625 * 0.9375 / 400)
     checks.append(("binomial contacts", abs(np.mean(counts) - 0.625) <= 3 * se))

@@ -146,15 +146,15 @@ def test_cluster_neighbors_order():
     a = reg.add_cluster(0)
     b = reg.add_cluster(0)
     c = reg.add_cluster(a)
-    assert list(reg.cluster_neighbors(0)) == [a, b]  # root has no parent
-    assert list(reg.cluster_neighbors(a)) == [0, c]  # parent first, then children
-    assert list(reg.cluster_neighbors(c)) == [a]
+    assert list(reg.neighbor_table[0]) == [a, b]  # root has no parent
+    assert list(reg.neighbor_table[a]) == [0, c]  # parent first, then children
+    assert list(reg.neighbor_table[c]) == [a]
 
 
 def test_cluster_children_creation_order():
     reg = Registry(WILD)
     kids = [reg.add_cluster(0) for _ in range(4)]
-    assert reg.cluster_neighbors(0) == tuple(kids)  # the root has no parent
+    assert reg.neighbor_table[0] == tuple(kids)  # the root has no parent
 
 
 def test_max_cluster_depth_tracks_all_clusters():
