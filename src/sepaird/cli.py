@@ -180,7 +180,9 @@ def _cmd_analyze(args) -> int:
             raise DatasetError("empty quantile list")
     # before the read, which can take long on a large dataset
     validate_request(args.metric, levels)
-    dataset = read_dataset(args.dataset)
+    dataset = read_dataset(args.dataset, args.metric)
+    if not dataset.table.size:
+        raise DatasetError("no data")
     if args.box_at is not None:
         write_boxes(notched_box(dataset, args.metric, args.box_at), args.out)
         return _EXIT_OK

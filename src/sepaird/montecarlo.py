@@ -43,8 +43,9 @@ rows, the cells on either side of one column once per run of rows whose
 bytes on that side are equal, and ``write_atomically`` writes it to
 ``<path>.partial`` and renames that to the path once complete, or removes
 it if the write fails.  One reader, ``_read_columns``, parses a CSV in
-blocks of as many lines, joins them, and rejects a malformed line, a
-non-finite required cell or outlier, or a NUL, with its line number.
+blocks of as many lines, keeps the columns asked for, joins them, and
+rejects a malformed line, a non-finite required cell or outlier, or a NUL,
+with its line number; a line is checked whole, whichever columns are kept.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -308,7 +309,13 @@ _row_values = operator.attrgetter(*CSV_COLUMNS)
 
 @dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """All metric rows of one sweep as one structured array, ``DATASET_DTYPE``."""
+    """All metric rows of one sweep as one structured array, ``DATASET_DTYPE``.
+
+    A dataset read for one metric, by ``read_dataset(path, metric)``, holds
+    a packed table of only the scenario columns, ``step`` and that metric:
+    enough for ``scenarios``, ``quantile_series`` and ``notched_box`` of
+    it, not for ``rows``.
+    """
 
     table: np.ndarray
 
@@ -533,18 +540,23 @@ def _parse_lines(lines, dtype: np.dtype, finite) -> np.ndarray:
     return table
 
 
-def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
+def _read_columns(path, dtype: np.dtype, finite, keep=None) -> np.ndarray:
     """Every non-blank line under an exact header of ``dtype``'s columns,
     parsed by ``_parse_lines`` in blocks of ``_BLOCK`` lines, the blocks
-    joined in order.  The lines of a rejected block are parsed again one by
-    one, only to name the first line at fault."""
-    tables = [np.empty(0, dtype=dtype)]
+    joined in order.  Every cell of a block is parsed and checked, then only
+    the fields ``keep`` (every field by default) are copied into a packed
+    table of them, so the joined table holds no other column.  The lines of
+    a rejected block are parsed again one by one, only to name the first
+    line at fault."""
+    keep = list(dtype.names if keep is None else keep)
+    kept = np.dtype([(name, dtype[name]) for name in keep])
+    tables = [np.empty(0, dtype=kept)]
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(fh, dtype.names)
         first = 2
         while block := list(itertools.islice(fh, _BLOCK)):
             try:
-                tables.append(_parse_lines(block, dtype, finite))
+                tables.append(np.array(_parse_lines(block, dtype, finite)[keep], dtype=kept))
             except ValueError as error:
                 for lineno, line in enumerate(block, start=first):
                     try:
@@ -558,10 +570,16 @@ def _read_columns(path, dtype: np.dtype, finite) -> np.ndarray:
     return np.concatenate(tables)
 
 
-def read_dataset(path) -> SweepDataset:
+def read_dataset(path, metric: str | None = None) -> SweepDataset:
     """Parse a dataset CSV, enforcing the exact fixed schema and finite
-    scenario cells."""
-    return SweepDataset(_read_columns(path, DATASET_DTYPE, _SCENARIO_FLOATS))
+    scenario cells.  Given a ``metric``, keep only what aggregating it
+    reads: the scenario columns, ``step`` and that metric.  Every cell of
+    every line is checked either way."""
+    keep = None
+    if metric is not None:
+        validate_request(metric)
+        keep = (*SCENARIO_FIELDS, "step", metric)
+    return SweepDataset(_read_columns(path, DATASET_DTYPE, _SCENARIO_FLOATS, keep))
 
 
 # -- aggregation -------------------------------------------------------------

@@ -7,7 +7,13 @@ import re
 import pytest
 
 from sepaird.cli import main
-from sepaird.montecarlo import BOX_COLUMNS, CSV_COLUMNS, QUANTILE_COLUMNS, read_dataset
+from sepaird.montecarlo import (
+    BOX_COLUMNS,
+    CSV_COLUMNS,
+    QUANTILE_COLUMNS,
+    DatasetError,
+    read_dataset,
+)
 from sepaird.ode import MAX_STEPS
 from sepaird.params import SimParams, params_to_config
 
@@ -384,6 +390,33 @@ def test_analyze_rejects_non_finite_metric(dataset_file, tmp_path, capsys, value
     out = tmp_path / "x.csv"
     assert main(["analyze", bad, "--metric", "mortality", *extra, "--out", str(out)]) == 2
     assert "non-finite mortality value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "column,text",
+    [("mean_r0", "abc"), ("extinct", "maybe"), ("mean_duration", "8.0\x00")],
+    ids=["float", "bool", "nul"],
+)
+@pytest.mark.parametrize("extra", [[], ["--box-at", str(FAST.horizon)]], ids=["lines", "box"])
+def test_analyze_checks_the_columns_it_does_not_keep(dataset_file, tmp_path, capsys,
+                                                     column, text, extra):
+    bad = _with_last_cell(dataset_file, CSV_COLUMNS, column, text, tmp_path / "bad.csv")
+    with pytest.raises(DatasetError, match=f"^line {FAST.horizon + 1}: ") as full_read:
+        read_dataset(bad)
+    out = tmp_path / "x.csv"
+    assert main(["analyze", bad, "--metric", "share_infected", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"sepaird analyze: {full_read.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--box-at", "1"]], ids=["lines", "box"])
+def test_analyze_rejects_an_empty_dataset(tmp_path, capsys, extra):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(CSV_COLUMNS) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["analyze", str(empty), "--metric", "mortality", *extra, "--out", str(out)]) == 2
+    assert "no data" in capsys.readouterr().err
     assert not out.exists()
 
 

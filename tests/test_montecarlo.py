@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
@@ -47,6 +48,7 @@ from sepaird.params import ConfigError, SimParams, parse_config_text
 from sepaird.phylo import ActiveVariantSummary
 from sepaird.rng import derive_seed
 from sepaird.variants import PROP_NAMES
+from test_golden import DEMO_DATASET, _ragged_copy
 
 BASE_SCENARIO = Scenario(0.02, 0.5, 0.99, True, 0.0)
 
@@ -190,6 +192,14 @@ def test_variant_summary_is_in_row_order():
 
 def test_default_grid_size(base_params):
     assert len(SweepGrid(base=base_params).scenarios()) == 4 * 3 * 2 * 2 * 6
+
+
+def test_default_grid_file_spells_the_default_grid(base_params):
+    path = os.path.join(os.path.dirname(os.path.dirname(DEMO_DATASET)), "default_grid.txt")
+    with open(path, encoding="utf-8") as fh:
+        grid = grid_from_text(fh.read(), base_params)
+    assert grid == SweepGrid(base=base_params)
+    assert len(grid.scenarios()) == 288
 
 
 def test_validate_grid_accepts_default(mini_grid):
@@ -704,6 +714,70 @@ def test_read_dataset_reads_negative_zero_scenario_as_zero(tmp_path, mini_datase
     write_quantiles(quantile_series(ds, "mortality"), signed)
     write_quantiles(quantile_series(mini_dataset, "mortality"), plain)
     assert signed.read_bytes() == plain.read_bytes()
+
+
+@pytest.fixture(scope="module", params=["demo", "ragged"])
+def full_read(request, tmp_path_factory):
+    """A dataset path, the demo dataset or its ragged and shuffled copy,
+    and its full read."""
+    path = DEMO_DATASET
+    if request.param == "ragged":
+        path = tmp_path_factory.mktemp("ragged") / "dataset.csv"
+        _ragged_copy(path)
+    return path, read_dataset(path)
+
+
+def _box_bytes(boxes):
+    """The bytes of a box table's number fields, then the spelling of its outliers."""
+    numbers = [name for name in BOX_COLUMNS if name != "outliers"]
+    return np.array(boxes[numbers]).tobytes() + repr(boxes["outliers"].tolist()).encode()
+
+
+@pytest.mark.parametrize("metric", METRIC_FIELDS)
+def test_metric_read_keeps_only_what_its_aggregation_reads(full_read, metric):
+    path, full = full_read
+    narrow = read_dataset(path, metric)
+    kept = (*SCENARIO_FIELDS, "step", metric)
+    assert narrow.table.dtype.names == kept
+    for name in kept:
+        assert narrow.table[name].tobytes() == full.table[name].tobytes()
+    got, expected = quantile_series(narrow, metric), quantile_series(full, metric)
+    assert got.tobytes() == expected.tobytes()
+    steps = full.table["step"]
+    for step in (steps.min(), steps.max()):
+        got, expected = notched_box(narrow, metric, step), notched_box(full, metric, step)
+        assert _box_bytes(got) == _box_bytes(expected)
+
+
+def test_read_dataset_rejects_an_unknown_metric():
+    with pytest.raises(DatasetError, match="unknown metric 'step'"):
+        read_dataset(DEMO_DATASET, "step")
+
+
+# at least 10^6 rows: the 3,000 demo rows repeated
+MEMORY_ROWS = 10**6
+
+
+def test_metric_read_holds_a_small_multiple_of_its_kept_columns(tmp_path):
+    with open(DEMO_DATASET, encoding="utf-8") as fh:
+        header, *body = fh.readlines()
+    path = tmp_path / "dataset.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for _ in range(-(-MEMORY_ROWS // len(body))):
+            fh.writelines(body)
+    # the first read and aggregation of a process import modules that would count too
+    quantile_series(read_dataset(DEMO_DATASET, "mortality"), "mortality")
+    tracemalloc.start()
+    try:
+        dataset = read_dataset(path, "mortality")
+        quantile_series(dataset, "mortality")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.table) >= MEMORY_ROWS
+    # the full table would be 3.3 times the kept columns
+    assert peak < 3 * dataset.table.nbytes
 
 
 # -- aggregation ------------------------------------------------------------
