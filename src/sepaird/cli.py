@@ -19,6 +19,7 @@ from .montecarlo import (
     DEFAULT_QUANTILES,
     DatasetError,
     SweepDataset,
+    SweepGrid,
     collect_world_run,
     grid_from_text,
     notched_box,
@@ -60,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="replicated runs over a scenario grid")
     p_sweep.add_argument("config", help="base parameter file")
     p_sweep.add_argument("--grid", required=True, help="grid file with list-valued dimensions")
-    p_sweep.add_argument("--reps", type=int, default=100, help="replications per scenario")
+    p_sweep.add_argument(
+        "--reps", type=int, default=SweepGrid.replications, help="replications per scenario"
+    )
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument(
         "--jobs",
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--quantiles",
         default=None,
-        help="comma-separated levels (default 0.05,0.25,0.5,0.75,0.95)",
+        help=f"comma-separated levels (default {','.join(map(str, DEFAULT_QUANTILES))})",
     )
     group.add_argument("--box-at", type=int, default=None, help="notched-box stats at one step")
     p_an.add_argument("--out", required=True, help="output CSV path")

@@ -255,7 +255,9 @@ def validate_grid(g: SweepGrid) -> SweepGrid:
     return g
 
 
-def grid_from_text(text: str, base: SimParams, replications: int = 100) -> SweepGrid:
+def grid_from_text(
+    text: str, base: SimParams, replications: int = SweepGrid.replications
+) -> SweepGrid:
     """Parse a grid file: scenario fields as comma-separated value lists.
 
     Omitted fields collapse to the base parameter value.  Lines are read

@@ -99,6 +99,9 @@ def validate_params(p: SimParams) -> SimParams:
         raise ConfigError("course_sd_frac must be >= 0")
     if p.horizon < 1:
         raise ConfigError("horizon must be >= 1")
+    # the random stream takes a 64-bit seed; wider values would alias others
+    if not 0 <= p.seed < 1 << 64:
+        raise ConfigError("seed out of [0, 2**64 - 1]")
     return p
 
 

@@ -2,10 +2,13 @@
 
 A variant is a vector of six disease properties and a position in the
 phylogenetic tree; each variant also belongs to an antigenic cluster.
-The property vector exists in one form only: a float64 row of
-``Registry.props_matrix`` in ``PROP_NAMES`` order, indexed by the column
-constants ``INFECTIOUSNESS``, ``LATENT_END``, ``INCUBATION_END``,
-``DURATION``, ``SYMPTOMATIC_CHANCE`` and ``FATALITY``.
+The registry keeps one table per id space, a row per variant and a row
+per cluster, and every public accessor is a field view of one of them.
+The property vector exists in one form only: the ``props`` field of a
+variant's row, read as a float64 row of ``Registry.props_matrix`` in
+``PROP_NAMES`` order and indexed by the column constants
+``INFECTIOUSNESS``, ``LATENT_END``, ``INCUBATION_END``, ``DURATION``,
+``SYMPTOMATIC_CHANCE`` and ``FATALITY``.
 Mutations scale every property by an independent multiplicative Gaussian
 shock floored at -0.99, so properties stay strictly positive.  A fraction
 of mutations carries an antigenic drift, which opens a new cluster as a
@@ -33,6 +36,11 @@ PROP_NAMES = (
 )
 N_PROPS = len(PROP_NAMES)
 INFECTIOUSNESS, LATENT_END, INCUBATION_END, DURATION, SYMPTOMATIC_CHANCE, FATALITY = range(N_PROPS)
+
+# One row per id.  Variants and clusters each form a tree, so both rows
+# hold a parent and a depth; a variant row adds its properties and cluster.
+_CLUSTER_ROW = np.dtype([("parent", np.int64), ("depth", np.int64)])
+_VARIANT_ROW = np.dtype([("props", np.float64, N_PROPS), ("cluster", np.int64), *_CLUSTER_ROW.descr])
 
 # Multiplicative shocks are floored here so properties never reach zero.
 SHOCK_FLOOR = -0.99
@@ -75,22 +83,22 @@ class Registry:
     """Append-only registries of variants and antigenic clusters.
 
     Variant and cluster identifiers are dense integers in creation order;
-    id 0 is the wild type / root cluster.  Every per-variant and
-    per-cluster fact is a column indexed by id (property rows in a float
-    matrix, tree links and depths in int64 vectors), grown by ``grown``,
-    so the simulation hot path can index them in bulk.
+    id 0 is the wild type / root cluster.  Each id space is one numpy
+    structured array, one row per id, grown by ``grown`` and written a
+    row at a time: a variant row holds its property vector, cluster,
+    parent and depth, a cluster row its parent and depth.  The accessors
+    (``props_matrix``, ``variant_parents``, ``variant_cluster``,
+    ``variant_depth``, ``cluster_parents``, ``cluster_depths``) are field
+    views of these tables cut to the ids in use, so the simulation hot
+    path can index them in bulk.  ``neighbor_table`` is a list of tuples
+    beside the cluster table.
     """
 
     def __init__(self, wild_props: np.ndarray):
-        cap = 64
-        self._props = np.zeros((cap, N_PROPS), dtype=np.float64)
-        self._parent = np.full(cap, -1, dtype=np.int64)
-        self._cluster = np.zeros(cap, dtype=np.int64)
-        self._depth = np.zeros(cap, dtype=np.int64)
+        self._variants = np.zeros(64, dtype=_VARIANT_ROW)
         self.n_variants = 0
-
-        self._cl_parent = np.full(cap, -1, dtype=np.int64)
-        self._cl_depth = np.zeros(cap, dtype=np.int64)
+        self._clusters = np.zeros(64, dtype=_CLUSTER_ROW)
+        self._clusters[0] = (-1, 0)
         self._cl_neighbors: list[tuple] = [()]
         self.n_clusters = 1
 
@@ -98,45 +106,37 @@ class Registry:
 
     # -- variants ---------------------------------------------------------
 
-    def _append_variant(self, vec, parent, cluster, depth) -> int:
+    def _append_variant(self, vec, cluster, parent, depth) -> int:
         vid = self.n_variants
-        self._props = grown(self._props, vid + 1)
-        self._parent = grown(self._parent, vid + 1)
-        self._cluster = grown(self._cluster, vid + 1)
-        self._depth = grown(self._depth, vid + 1)
-        self._props[vid] = vec
-        self._parent[vid] = parent
-        self._cluster[vid] = cluster
-        self._depth[vid] = depth
+        self._variants = grown(self._variants, vid + 1)
+        self._variants[vid] = (vec, cluster, parent, depth)
         self.n_variants += 1
         return vid
 
     @property
     def props_matrix(self) -> np.ndarray:
         """View of all property vectors, shape (n_variants, 6)."""
-        return self._props[: self.n_variants]
+        return self._variants["props"][: self.n_variants]
 
     @property
     def variant_parents(self) -> np.ndarray:
         """Parent of every variant; the wild type's is -1."""
-        return self._parent[: self.n_variants]
+        return self._variants["parent"][: self.n_variants]
 
     @property
     def variant_cluster(self) -> np.ndarray:
-        return self._cluster[: self.n_variants]
+        return self._variants["cluster"][: self.n_variants]
 
     @property
     def variant_depth(self) -> np.ndarray:
-        return self._depth[: self.n_variants]
+        return self._variants["depth"][: self.n_variants]
 
     # -- clusters ---------------------------------------------------------
 
     def add_cluster(self, parent: int) -> int:
         cid = self.n_clusters
-        self._cl_parent = grown(self._cl_parent, cid + 1)
-        self._cl_depth = grown(self._cl_depth, cid + 1)
-        self._cl_parent[cid] = parent
-        self._cl_depth[cid] = self._cl_depth[parent] + 1
+        self._clusters = grown(self._clusters, cid + 1)
+        self._clusters[cid] = (parent, self._clusters["depth"][parent] + 1)
         self._cl_neighbors.append((parent,))
         self._cl_neighbors[parent] += (cid,)
         self.n_clusters += 1
@@ -145,11 +145,11 @@ class Registry:
     @property
     def cluster_parents(self) -> np.ndarray:
         """Parent of every cluster; the root's is -1."""
-        return self._cl_parent[: self.n_clusters]
+        return self._clusters["parent"][: self.n_clusters]
 
     @property
     def cluster_depths(self) -> np.ndarray:
-        return self._cl_depth[: self.n_clusters]
+        return self._clusters["depth"][: self.n_clusters]
 
     @property
     def neighbor_table(self) -> list:
@@ -176,12 +176,13 @@ def spawn_variant(
     The child's cluster is the parent's unless ``drift``, in which case a
     fresh cluster is opened as a child of the parent's cluster.
     """
-    vec = mutate_props(registry._props[parent_id], theta, sigma_i, rng)
-    parent_cluster = int(registry._cluster[parent_id])
+    row = registry._variants[parent_id]
+    vec = mutate_props(row["props"], theta, sigma_i, rng)
+    parent_cluster = int(row["cluster"])
     cluster = registry.add_cluster(parent_cluster) if drift else parent_cluster
     return registry._append_variant(
         vec,
         parent=parent_id,
         cluster=cluster,
-        depth=int(registry._depth[parent_id]) + 1,
+        depth=row["depth"] + 1,
     )

@@ -78,6 +78,14 @@ def test_run_seed_override_changes_outcome(config, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_run_seed_outside_64_bits_is_usage_error(config, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert main(["run", config, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sepaird run: seed") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_events_audit(config, tmp_path):
     out, events = tmp_path / "run.csv", tmp_path / "events.csv"
     assert main(["run", config, "--out", str(out), "--events", str(events)]) == 0

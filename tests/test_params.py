@@ -54,6 +54,21 @@ def test_invalid_field_rejected(field, value):
         validate_params(p)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # the random stream masks its seed to 64 bits, so these would alias
+    # seeds 2**64 - 1 and 0
+    p = dataclasses.replace(SimParams(), seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        validate_params(p)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_at_the_64_bit_bounds_accepted(seed):
+    p = dataclasses.replace(SimParams(), seed=seed)
+    assert validate_params(p) is p
+
+
 @pytest.mark.parametrize(
     "latent,incubation,duration",
     [(6.0, 6.0, 8.0), (4.0, 8.0, 8.0), (4.0, 3.0, 8.0), (4.0, 6.0, 5.0)],

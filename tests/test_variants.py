@@ -182,15 +182,28 @@ def test_props_matrix_rows_match_records():
 
 
 def test_growth_preserves_early_records():
-    """Capacity doubling must copy, not alias or repeat-fill."""
+    """Capacity doubling must copy, not alias or repeat-fill, both tables."""
     reg = Registry(WILD)
     rng = RngStream(6)
-    first = spawn_variant(reg, 0, False, 0.0, 0.2, rng)
-    snapshot = reg.props_matrix[first].copy()
+    first = spawn_variant(reg, 0, True, 0.0, 0.2, rng)
+    spawn_variant(reg, first, True, 0.0, 0.2, rng)
+    columns = ("props_matrix", "variant_parents", "variant_cluster", "variant_depth")
+    variant_rows = [getattr(reg, name)[:3].copy() for name in columns]
+    cluster_rows = [reg.cluster_parents[:3].copy(), reg.cluster_depths[:3].copy()]
+    # every spawn drifts, so both tables grow past their 64-row start
     for k in range(200):
-        spawn_variant(reg, 0, k % 7 == 0, 0.0, 0.2, rng)
-    assert np.array_equal(reg.props_matrix[1], snapshot)
+        spawn_variant(reg, k % reg.n_variants, True, 0.0, 0.2, rng)
+    assert reg.n_variants == reg.n_clusters == 203
+    for name, before in zip(columns, variant_rows):
+        assert np.array_equal(getattr(reg, name)[:3], before), name
+    assert np.array_equal(reg.cluster_parents[:3], cluster_rows[0])
+    assert np.array_equal(reg.cluster_depths[:3], cluster_rows[1])
     assert np.array_equal(reg.props_matrix[0], WILD)
+    assert reg.variant_parents[1:3].tolist() == [0, 1]
+    assert reg.variant_cluster[1:3].tolist() == [1, 2]
+    assert reg.variant_depth[1:3].tolist() == [1, 2]
+    assert reg.cluster_parents[1:3].tolist() == [0, 1]
+    assert reg.cluster_depths[1:3].tolist() == [1, 2]
 
 
 def test_spawn_consumes_fixed_draw_count():
