@@ -14,7 +14,7 @@ from sepaird.montecarlo import (
     DatasetError,
     read_dataset,
 )
-from sepaird.ode import MAX_STEPS
+from sepaird.ode import MAX_STEPS, abm_to_ode, effective_reproduction, integrate, seeded_state
 from sepaird.params import SimParams, params_to_config
 
 DEMO_DATASET = os.path.join(
@@ -150,6 +150,27 @@ def test_ode_trajectory_csv(config, tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[1]) == FAST.n_agents - FAST.n_initial_infected
     assert float(first[-1]) == pytest.approx(2.5 * (295 / 300))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"isolate_symptomatic": True, "social_distancing": 0.3},
+], ids=["default", "isolated-distanced"])
+def test_ode_csv_matches_formatting_every_row(tmp_path, overrides):
+    # 10,001 rows: more than two of the writer's 4,096-row blocks
+    p = dataclasses.replace(FAST, **overrides)
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(params_to_config(p))
+    out = tmp_path / "ode.csv"
+    assert main(["ode", str(cfg), "--horizon", "500", "--dt", "0.05", "--out", str(out)]) == 0
+    op = abm_to_ode(p)
+    trajectory = integrate(seeded_state(p.n_agents, p.n_initial_infected, "P"), op, 500.0, 0.05)
+    expected = ["t,S,E,P,A,I,R,D,Rt\n"]
+    for t, row in zip(trajectory.times.tolist(), trajectory.states):
+        cells = [t, *row.tolist(), effective_reproduction(row.tolist(), op)]
+        expected.append(",".join(map(repr, cells)) + "\n")
+    assert len(expected) == 1 + 10_001
+    assert out.read_text() == "".join(expected)
 
 
 def test_ode_defaults_to_config_horizon(config, tmp_path):
