@@ -14,8 +14,11 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .abm import init_world
 from .montecarlo import (
+    _BLOCK,
     DEFAULT_QUANTILES,
     DatasetError,
     SweepDataset,
@@ -163,13 +166,22 @@ def _cmd_ode(args) -> int:
     op = abm_to_ode(p)
     s0 = seeded_state(p.n_agents, p.n_initial_infected, "P")
     trajectory = integrate(s0, op, horizon, dt=args.dt)
-    lines = ["t,S,E,P,A,I,R,D,Rt\n"]
-    for t, row in zip(trajectory.times.tolist(), trajectory.states):
-        state = row.tolist()
-        cells = [t, *state, effective_reproduction(state, op)]
-        lines.append(",".join(map(repr, cells)) + "\n")
-    write_atomically(args.out, lines)
+    table = np.column_stack(
+        (trajectory.times, trajectory.states, effective_reproduction(trajectory.states, op))
+    )
+    write_atomically(args.out, _csv_blocks("t,S,E,P,A,I,R,D,Rt\n", table))
     return _EXIT_OK
+
+
+def _csv_blocks(header: str, table: np.ndarray):
+    """``header``, then the CSV lines of the float ``table``, one string per
+    block of ``_BLOCK`` rows with each cell spelled by ``repr``; a block at
+    a time, so the table is never held whole as Python floats."""
+    yield header
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK):
+        block = table[start : start + _BLOCK]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _cmd_analyze(args) -> int:

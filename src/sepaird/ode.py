@@ -7,8 +7,11 @@ force of infection by ``1 - delta``.  The two policies may be combined,
 composing multiplicatively.
 
 A state is one float64 vector of the seven masses in ``COMPARTMENTS``
-order.  The living population ``N = S+E+P+A+I+R`` (excluding D)
-normalizes the force of infection and the effective reproduction number.
+order; ``effective_reproduction`` also takes an ``(n, 7)`` stack of them.
+The living population ``N = S+E+P+A+I+R`` (excluding D) normalizes the
+force of infection and the effective reproduction number.  The rate
+formula has one home, ``_rate_function``, which both ``derivative`` and
+``integrate`` call.
 """
 
 from __future__ import annotations
@@ -81,36 +84,47 @@ def seeded_state(n_agents: float, n_infected: float, compartment: str = "P") -> 
     return y
 
 
-def _living(y) -> float:
-    """Living population ``S+E+P+A+I+R``; OdeError once it is gone."""
+def _living(y):
+    """Living population ``S+E+P+A+I+R`` of a state, or of each state when
+    the seven entries of ``y`` are arrays; OdeError once any is gone."""
     S, E, P, A, I, R, _ = y
     living = S + E + P + A + I + R
-    if living <= 0.0:
+    if np.any(living <= 0.0):
         raise OdeError("population extinct")
     return living
 
 
+def _rate_function(p: OdeParams):
+    """The model's rates with the constants of ``p`` bound: a function of
+    the seven masses ``(S, E, P, A, I, R, D)`` that returns their time
+    derivatives as a tuple of floats, which sum to zero."""
+    beta, alpha, mu, gamma, nu, lam = p.beta, p.alpha, p.mu, p.gamma, p.nu, p.lam
+    kept, asymptomatic, fatal, isolate = 1.0 - p.delta, 1.0 - nu, 1.0 - lam, p.isolate
+
+    def rates(S, E, P, A, I, R, D):
+        living = S + E + P + A + I + R  # not _living: four calls per RK4 step
+        if living <= 0.0:
+            raise OdeError("population extinct")
+        infectious = P + A if isolate else I + P + A
+        force = S * beta * kept * infectious / living
+        latent_end = E * alpha
+        presymptomatic_end = P * mu
+        return (
+            -force,
+            force - latent_end,
+            latent_end - presymptomatic_end,
+            presymptomatic_end * asymptomatic - A * gamma,
+            presymptomatic_end * nu - I * gamma,
+            A * gamma + I * lam * gamma,
+            I * fatal * gamma,
+        )
+
+    return rates
+
+
 def derivative(y: np.ndarray, p: OdeParams) -> np.ndarray:
     """Time derivative of the seven compartments; components sum to zero."""
-    return np.array(_rates(y.tolist(), p))
-
-
-def _rates(y, p: OdeParams) -> tuple:
-    """``derivative`` over a sequence of seven floats, as a tuple."""
-    S, E, P, A, I, R, D = y
-    living = S + E + P + A + I + R  # not _living(y): four calls per RK4 step
-    if living <= 0.0:
-        raise OdeError("population extinct")
-    infectious = P + A if p.isolate else I + P + A
-    force = S * p.beta * (1.0 - p.delta) * infectious / living
-    dS = -force
-    dE = force - E * p.alpha
-    dP = E * p.alpha - P * p.mu
-    dA = P * p.mu * (1.0 - p.nu) - A * p.gamma
-    dI = P * p.mu * p.nu - I * p.gamma
-    dR = A * p.gamma + I * p.lam * p.gamma
-    dD = I * (1.0 - p.lam) * p.gamma
-    return dS, dE, dP, dA, dI, dR, dD
+    return np.array(_rate_function(p)(*y.tolist()))
 
 
 def _clip_negatives(y) -> list:
@@ -133,11 +147,12 @@ MAX_STEPS = 1_000_000
 
 
 def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) -> Trajectory:
-    """Classical fixed-step RK4 over ``[0, horizon]`` from state ``y0``.
+    """Classical fixed-step RK4 over ``[0, horizon]`` from state ``y0``;
+    ``horizon`` must be a whole number of steps ``dt``.
 
     Total mass is checked to 1e-9 relative at every step; float-noise
     negatives above -1e-12 are clipped to zero and counted.  The steps run
-    on Python floats in the operation order of the array form
+    on seven Python floats in the operation order of the array form
     ``y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``, so the states are the same
     bytes.
     """
@@ -148,36 +163,51 @@ def integrate(y0: np.ndarray, p: OdeParams, horizon: float, dt: float = 0.05) ->
     if horizon / dt > MAX_STEPS:
         raise OdeError(f"horizon {horizon} at dt {dt} needs more than {MAX_STEPS} steps")
     n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise OdeError(f"horizon {horizon} is not a whole number of steps of dt {dt}")
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, len(COMPARTMENTS)))
     states[0] = y0
-    y = states[0].tolist()
+    S, E, P, A, I, R, D = states[0].tolist()
     mass0 = float(states[0].sum())
+    tolerance = 1e-9 * max(mass0, 1.0)
     clip_count = 0
+    rates = _rate_function(p)
     h = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite
     for i in range(n_steps):
-        k1 = _rates(y, p)
-        k2 = _rates([a + h * b for a, b in zip(y, k1)], p)
-        k3 = _rates([a + h * b for a, b in zip(y, k2)], p)
-        k4 = _rates([a + dt * b for a, b in zip(y, k3)], p)
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        if not all(map(isfinite, y)):
+        s1, e1, p1, a1, i1, r1, d1 = rates(S, E, P, A, I, R, D)
+        s2, e2, p2, a2, i2, r2, d2 = rates(
+            S + h * s1, E + h * e1, P + h * p1, A + h * a1, I + h * i1, R + h * r1, D + h * d1
+        )
+        s3, e3, p3, a3, i3, r3, d3 = rates(
+            S + h * s2, E + h * e2, P + h * p2, A + h * a2, I + h * i2, R + h * r2, D + h * d2
+        )
+        s4, e4, p4, a4, i4, r4, d4 = rates(
+            S + dt * s3, E + dt * e3, P + dt * p3, A + dt * a3, I + dt * i3, R + dt * r3,
+            D + dt * d3,
+        )
+        S = S + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        E = E + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        P = P + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        A = A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        I = I + sixth * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+        R = R + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        D = D + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if not (isfinite(S) and isfinite(E) and isfinite(P) and isfinite(A)
+                and isfinite(I) and isfinite(R) and isfinite(D)):
             raise OdeError("integration diverged")
-        low = min(y)
+        low = min(S, E, P, A, I, R, D)
         if low < 0.0:
             if low < -1e-12:
                 raise OdeError(f"integration diverged: compartment reached {low}")
+            y = (S, E, P, A, I, R, D)
             clip_count += sum(v < 0.0 for v in y)
-            y = _clip_negatives(y)
-        S, E, P, A, I, R, D = y
-        if abs(S + E + P + A + I + R + D - mass0) > 1e-9 * max(mass0, 1.0):
+            S, E, P, A, I, R, D = _clip_negatives(y)
+        if abs(S + E + P + A + I + R + D - mass0) > tolerance:
             raise OdeError("integration diverged: mass not conserved")
-        states[i + 1] = y
+        states[i + 1] = S, E, P, A, I, R, D
     return Trajectory(times=times, states=states, clip_count=clip_count)
 
 
@@ -190,9 +220,14 @@ def basic_reproduction(p: OdeParams) -> float:
     return (p.beta / p.mu + p.beta * sigma / p.gamma) * (1.0 - p.delta)
 
 
-def effective_reproduction(y, p: OdeParams) -> float:
-    """Reproduction number scaled by the current susceptible share."""
-    return float(basic_reproduction(p) * y[0] / _living(y))
+def effective_reproduction(y, p: OdeParams):
+    """Reproduction number scaled by the current susceptible share: a float
+    for one state, an array of one value per row for an ``(n, 7)`` stack.
+    Each row's value is the bytes its state alone gives."""
+    if np.ndim(y) == 1:
+        return float(basic_reproduction(p) * y[0] / _living(y))
+    states = np.asarray(y, dtype=np.float64)
+    return basic_reproduction(p) * states[:, 0] / _living(states.T)
 
 
 @dataclass(frozen=True)

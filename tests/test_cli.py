@@ -169,8 +169,11 @@ def test_ode_csv_matches_formatting_every_row(tmp_path, overrides):
     for t, row in zip(trajectory.times.tolist(), trajectory.states):
         cells = [t, *row.tolist(), effective_reproduction(row.tolist(), op)]
         expected.append(",".join(map(repr, cells)) + "\n")
-    assert len(expected) == 1 + 10_001
-    assert out.read_text() == "".join(expected)
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == len(expected) == 1 + 10_001
+    # the first differing line, not a diff of 1.7 MB of text
+    differ = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+    assert differ is None, f"line {differ + 1}: {lines[differ]!r} != {expected[differ]!r}"
 
 
 def test_ode_defaults_to_config_horizon(config, tmp_path):
@@ -186,15 +189,18 @@ def test_ode_rejects_degenerate_phases(tmp_path, capsys):
     assert "course ordering" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--dt", "nan", "must be finite"),
-    ("--horizon", "nan", "must be finite"),
-    ("--horizon", "inf", "must be finite"),
-    ("--dt", "1e-15", f"more than {MAX_STEPS} steps"),
-], ids=["--dt-nan", "--horizon-nan", "--horizon-inf", "--dt-1e-15"])
-def test_ode_rejects_non_finite_arguments(config, tmp_path, capsys, flag, value, message):
+@pytest.mark.parametrize("arguments,message", [
+    (["--dt", "nan"], "must be finite"),
+    (["--horizon", "nan"], "must be finite"),
+    (["--horizon", "inf"], "must be finite"),
+    (["--dt", "1e-15"], f"more than {MAX_STEPS} steps"),
+    (["--horizon", "1.1", "--dt", "0.4"], "horizon 1.1 is not a whole number of steps of dt 0.4"),
+    (["--horizon", "1.0", "--dt", "0.4"], "horizon 1.0 is not a whole number of steps of dt 0.4"),
+], ids=["--dt-nan", "--horizon-nan", "--horizon-inf", "--dt-1e-15", "--horizon-1.1-past",
+        "--horizon-1.0-short"])
+def test_ode_rejects_non_finite_arguments(config, tmp_path, capsys, arguments, message):
     out = tmp_path / "x.csv"
-    assert main(["ode", config, flag, value, "--out", str(out)]) == 2
+    assert main(["ode", config, *arguments, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sepaird ode: ") and err.count("\n") == 1
     assert message in err

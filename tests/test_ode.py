@@ -115,6 +115,20 @@ def test_effective_reproduction_extinct_population():
     dead = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10000.0])
     with pytest.raises(OdeError, match="extinct"):
         effective_reproduction(dead, DEFAULTS)
+    # one extinct row fails the whole stack
+    stack = np.array([seeded_state(10000, 10), dead, seeded_state(10000, 10)])
+    with pytest.raises(OdeError, match="extinct"):
+        effective_reproduction(stack, DEFAULTS)
+
+
+@pytest.mark.parametrize("overrides", [dict(), dict(isolate=True, delta=0.3)])
+def test_effective_reproduction_of_a_stack_is_each_row_alone(overrides):
+    p = dataclasses.replace(DEFAULTS, **overrides)
+    states = integrate(seeded_state(10000, 10, compartment="P"), p, horizon=200.0, dt=0.1).states
+    one = effective_reproduction(states[-1].tolist(), p)
+    assert type(one) is float
+    rows = np.array([effective_reproduction(row.tolist(), p) for row in states])
+    assert effective_reproduction(states, p).tobytes() == rows.tobytes()
 
 
 def test_seeded_state_compartments():
@@ -192,6 +206,13 @@ def test_integrate_argument_validation():
         integrate(s0, DEFAULTS, horizon=10.0, dt=0.0)
     with pytest.raises(OdeError):
         integrate(s0, DEFAULTS, horizon=0.01, dt=0.05)
+
+
+@pytest.mark.parametrize("horizon, dt", [(1.1, 0.4), (1.0, 0.4)], ids=["past", "short"])
+def test_integrate_rejects_a_horizon_that_is_no_whole_number_of_steps(horizon, dt):
+    # round() would integrate to 1.2000000000000002 and to 0.8
+    with pytest.raises(OdeError, match=f"horizon {horizon} .* dt {dt}"):
+        integrate(seeded_state(100, 1), DEFAULTS, horizon=horizon, dt=dt)
 
 
 def test_sensitivity_signs_at_defaults():
