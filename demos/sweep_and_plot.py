@@ -10,6 +10,7 @@ bytes.
 import os
 
 from sepaird.montecarlo import (
+    SweepDataset,
     SweepGrid,
     notched_box,
     quantile_series,
@@ -36,8 +37,8 @@ def main():
     n_scenarios = len(grid.scenarios())
     print(f"sweeping {n_scenarios} scenarios x {grid.replications} replications "
           f"x {grid.horizon} steps")
-    dataset = sweep(grid, progress=lambda done, total: print(
-        f"  {done}/{total} replications", end="\r"))
+    dataset = SweepDataset.from_tables(sweep(grid, progress=lambda done, total: print(
+        f"  {done}/{total} replications", end="\r")))
     print()
 
     os.makedirs(OUT, exist_ok=True)

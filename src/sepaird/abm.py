@@ -260,21 +260,22 @@ class World:
         if carriers.size == 0 or living.size <= 1:
             return infected[:0]
         eta = self.params.daily_contacts
-        positions = np.searchsorted(living, carriers)
         idx = self.rng.integers(0, living.size - 1, size=(carriers.size, eta))
-        idx += idx >= positions[:, None]
-        targets = living[idx]
         rolls = self.rng.uniform(size=(carriers.size, eta))
         source = self.variant_of[carriers]
         infectiousness = np.minimum(self.registry.props_matrix[source, INFECTIOUSNESS], 1.0)
         transmit = infectiousness * (1.0 - self.params.social_distancing)
-        clusters = self.registry.variant_cluster[source]
-        open_target = self.variant_of[targets] < 0
-        susceptible = ~self.immune[targets, clusters[:, None]]
-        rows, cols = np.nonzero(open_target & susceptible & (rolls < transmit[:, None]))
+        # only the contacts whose roll transmits, a few percent of them, are
+        # looked up; np.nonzero keeps them in (carrier, contact) order
+        rows, cols = np.nonzero(rolls < transmit[:, None])
+        picks = idx[rows, cols]
+        picks += picks >= np.searchsorted(living, carriers)[rows]
+        targets = living[picks]
+        clusters = self.registry.variant_cluster[source[rows]]
+        infecting = (self.variant_of[targets] < 0) & ~self.immune[targets, clusters]
+        rows, hits = rows[infecting], targets[infecting]
         if rows.size == 0:
             return infected[:0]
-        hits = targets[rows, cols]
         first = _first_occurrences(hits)
         agents = hits[first]
         variants = source[rows[first]].tolist()

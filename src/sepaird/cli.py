@@ -9,6 +9,7 @@ the parameters ask for that fails too), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -21,7 +22,6 @@ from .montecarlo import (
     _BLOCK,
     DEFAULT_QUANTILES,
     DatasetError,
-    SweepDataset,
     SweepGrid,
     collect_world_run,
     grid_from_text,
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--progress",
         action="store_true",
-        help="one stderr line per finished replication: done/total, rate and ETA",
+        help="one stderr line per written replication: done/total, rate and ETA",
     )
 
     p_ode = sub.add_parser("ode", help="deterministic compartmental trajectory CSV")
@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         p = dataclasses.replace(p, seed=args.seed)
     w = init_world(p, log_events=args.events is not None)
-    write_dataset(SweepDataset(collect_world_run(w)), args.out)
+    write_dataset([collect_world_run(w)], args.out)
     if args.events is not None:
         lines = ["step,event,agent,variant,cluster\n"]
         lines += [f"{s},{e},{a},{v},{c}\n" for s, e, a, v, c in w.events]
@@ -154,9 +154,12 @@ def _cmd_sweep(args) -> int:
     jobs = _jobs_from(args)
     validate_sweep(grid, jobs)
     os.makedirs(args.out, exist_ok=True)
-    dataset = sweep(grid, jobs=jobs, progress=_progress_reporter() if args.progress else None)
-    write_dataset(dataset, os.path.join(args.out, "dataset.csv"))
+    # first, so a sweep stopped early leaves its manifest beside the partial dataset
     write_manifest(grid, os.path.join(args.out, "manifest.csv"))
+    progress = _progress_reporter() if args.progress else None
+    # closed on the way out, so a write that fails stops the sweep's workers too
+    with contextlib.closing(sweep(grid, jobs=jobs, progress=progress)) as blocks:
+        write_dataset(blocks, os.path.join(args.out, "dataset.csv"))
     return _EXIT_OK
 
 

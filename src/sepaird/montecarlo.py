@@ -18,9 +18,14 @@ variant set it describes is unchanged; the world then finishes through
 ``abm.run``, which moves it to its horizon without stepping.  The frozen
 steps after extinction are never observed: their rows are copies of the
 first extinct row, each with its own step.  A sweep worker sends only the
-observed rows, and ``sweep``, which allocates the table once, copies them
-into the replication's block and fills its tail there, through the same
-helper as ``collect_world_run``.
+observed rows.  ``sweep`` is a stream: it yields each replication's block
+in canonical order, its tail filled through the same helper as
+``collect_world_run``, and never holds the table.  With several workers it
+keeps a bounded number of replications submitted and takes their results
+in order, so one slow replication holds back only that many finished
+ones.  The sweep command writes the blocks as they come, so a sweep
+stopped early leaves a partial dataset file that is a byte prefix of the
+whole one.
 
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, which also name ``SweepGrid``'s value lists and the keys of
@@ -38,14 +43,16 @@ Every cell is spelled by one table, ``_CELL_FORMATS``, keyed by the kind
 of its column's dtype, so the dtype coerces a value before it is spelled;
 scenario floats are spelled as ``+0.0`` of their value, so scenarios that
 compare equal are spelled, keyed and seeded alike.  One writer,
-``_write_table``, formats a table column by column in blocks of ``_BLOCK``
+``_write_table``, takes the rows of a table from an iterable of tables,
+one at a time, and formats them column by column in blocks of ``_BLOCK``
 rows, the cells on either side of one column once per run of rows whose
-bytes on that side are equal, and ``write_atomically`` writes it to
-``<path>.partial`` and renames that to the path once complete, or removes
-it if the write fails.  One reader, ``_read_columns``, parses a CSV in
-blocks of as many lines, keeps the columns asked for, joins them, and
-rejects a malformed line, a non-finite required cell or outlier, or a NUL,
-with its line number; a line is checked whole, whichever columns are kept.
+bytes on that side are equal, across the tables' edges too, and
+``write_atomically`` writes them to ``<path>.partial`` and renames that to
+the path once complete, or removes it if the write fails.  One reader,
+``_read_columns``, parses a CSV in blocks of as many lines, keeps the
+columns asked for, joins them, and rejects a malformed line, a non-finite
+required cell or outlier, or a NUL, with its line number; a line is
+checked whole, whichever columns are kept.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -55,6 +62,8 @@ and the quantile levels of a request, and needs no dataset.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -295,15 +304,15 @@ def _replications(grid: SweepGrid):
             yield scenario, replication, replication_seed(grid.base_seed, scenario, replication)
 
 
-def _sweep_task(base: SimParams, task) -> tuple:
-    """Run task ``(canonical index, (scenario, replication, seed))`` of
-    ``enumerate(_replications(grid))`` on ``base``: its index and the
-    observed rows of its block, up to the first extinct one.  The sweep
-    fills the rest, so a worker never sends the frozen tail."""
-    index, (scenario, replication, seed) = task
+def _sweep_task(base: SimParams, task) -> np.ndarray:
+    """Run replication ``(scenario, replication, seed)`` of ``_replications``
+    on ``base``: the observed rows of its block, up to the first extinct
+    one.  The sweep fills the rest, so a worker never sends the frozen
+    tail."""
+    scenario, replication, seed = task
     p = dataclasses.replace(scenario.apply(base), seed=seed)
     block = np.empty(p.horizon, dtype=DATASET_DTYPE)
-    return index, block[: _observe_run(init_world(p), replication, block)]
+    return block[: _observe_run(init_world(p), replication, block)]
 
 
 _row_values = operator.attrgetter(*CSV_COLUMNS)
@@ -325,6 +334,11 @@ class SweepDataset:
     def from_rows(rows) -> "SweepDataset":
         return SweepDataset(np.array([_row_values(row) for row in rows], dtype=DATASET_DTYPE))
 
+    @staticmethod
+    def from_tables(tables) -> "SweepDataset":
+        """The rows of ``tables``, such as the blocks of ``sweep``, joined in order."""
+        return SweepDataset(np.concatenate([np.empty(0, dtype=DATASET_DTYPE), *tables]))
+
     @property
     def rows(self) -> tuple:
         return tuple(MetricRow(*values) for values in self.table.tolist())
@@ -337,7 +351,8 @@ class SweepDataset:
 
 def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
     """Return ``grid`` unchanged if it can be swept by ``jobs`` workers
-    into a table numpy can address."""
+    into a dataset that numpy can address as one table, as a reader of it
+    does."""
     if jobs < 1:
         raise DatasetError(f"jobs must be >= 1, got {jobs}")
     rows = len(grid.scenarios()) * grid.replications * grid.horizon
@@ -346,37 +361,58 @@ def validate_sweep(grid: SweepGrid, jobs: int) -> SweepGrid:
     return validate_grid(grid)
 
 
-def sweep(grid: SweepGrid, jobs: int = 1, progress=None) -> SweepDataset:
+# replications a sweep with jobs > 1 keeps submitted per worker: enough to
+# keep every worker busy while the parent waits for the oldest one, and the
+# most finished replications a slow one can hold back
+_AHEAD_PER_JOB = 4
+
+
+def sweep(grid: SweepGrid, jobs: int = 1, progress=None):
     """Run the full grid; ``jobs`` workers never change the result.
 
-    Rows come back sorted by (scenario ordinal, replication, step): each
-    replication's observed rows are copied into its block of the table as
-    they arrive, and the block's extinct tail is filled there.
-    ``progress`` is called after each finished replication with (done,
-    total).
+    Returns a generator of the replications' blocks in canonical order
+    (scenario ordinal, then replication): one ``DATASET_DTYPE`` table of
+    ``horizon`` rows each, sorted by step, its extinct tail filled from
+    the observed rows a worker sent.  ``progress`` is called with (done,
+    total) after each block is taken.  The grid is checked at once; no
+    replication runs before the first block is asked for, and closing the
+    generator stops the workers.
     """
     validate_sweep(grid, jobs)
-    total = len(grid.scenarios()) * grid.replications
-    # row i holds the block of the replication with canonical index i
-    table = np.empty((total, grid.horizon), dtype=DATASET_DTYPE)
+    return _sweep_blocks(grid, jobs, progress)
 
-    def collect(results):
-        for done, (index, rows) in enumerate(results, start=1):
-            block = table[index]
+
+def _sweep_blocks(grid: SweepGrid, jobs: int, progress):
+    total = len(grid.scenarios()) * grid.replications
+    run_task = functools.partial(_sweep_task, grid.base)
+    # a generator, so a large grid never holds one task per replication at once
+    tasks = _replications(grid)
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            results = map(run_task, tasks)
+        else:
+            pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
+            results = _in_order(pool, run_task, tasks, jobs * _AHEAD_PER_JOB)
+        for done, rows in enumerate(results, start=1):
+            block = np.empty(grid.horizon, dtype=DATASET_DTYPE)
             block[: rows.size] = rows
             _fill_tail(block, rows.size)
+            yield block
             if progress is not None:
                 progress(done, total)
 
-    run_task = functools.partial(_sweep_task, grid.base)
-    # a generator, so a large grid never holds one task per replication at once
-    tasks = enumerate(_replications(grid))
-    if jobs == 1:
-        collect(map(run_task, tasks))
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            collect(pool.imap_unordered(run_task, tasks))
-    return SweepDataset(table.reshape(-1))
+
+def _in_order(pool, fn, tasks, ahead: int):
+    """``fn`` of each of ``tasks`` on ``pool``, yielded in task order, with
+    at most ``ahead`` tasks submitted and not yet yielded."""
+    pending = collections.deque(
+        pool.apply_async(fn, (task,)) for task in itertools.islice(tasks, ahead)
+    )
+    while pending:
+        result = pending.popleft().get()
+        for task in itertools.islice(tasks, 1):
+            pending.append(pool.apply_async(fn, (task,)))
+        yield result
 
 
 # -- serialization ----------------------------------------------------------
@@ -438,28 +474,54 @@ def _new_runs(rows: np.ndarray, columns) -> np.ndarray:
     return new
 
 
-def _table_text(table: np.ndarray, split: str):
-    """The CSV lines of ``table``, one string per block of rows.
+def _blocks(tables):
+    """The rows of ``tables``, an iterable of tables of one dtype, in blocks
+    of ``_BLOCK`` rows, the last one shorter.  Each block is yielded after
+    the row before it, as rows 1 on of one buffer reused from block to
+    block; the first block's row 0 is unset."""
+    buffer, filled = None, 0
+    for table in tables:
+        if buffer is None:
+            buffer = np.empty(_BLOCK + 1, dtype=table.dtype)
+        start = 0
+        while start < len(table):
+            rows = table[start : start + _BLOCK - filled]
+            buffer[1 + filled : 1 + filled + len(rows)] = rows
+            filled += len(rows)
+            start += len(rows)
+            if filled == _BLOCK:
+                yield buffer
+                buffer[0] = buffer[_BLOCK]
+                filled = 0
+    if filled:
+        yield buffer[: 1 + filled]
+
+
+def _table_text(tables, split: str):
+    """The CSV lines of the rows of ``tables``, an iterable of tables of one
+    dtype, one string per block of ``_BLOCK`` rows.
 
     The cells before column ``split`` are formatted once per run of rows
     whose bytes in them are equal, such as a scenario's rows, and the cells
     after it once per run equal in them, such as the rows of an extinct
-    replication.  Every row formats its own ``split`` cell.  Bytes, not
-    ``==``: a ``-0.0`` after a ``0.0`` is formatted again.
+    replication.  A run goes on across the tables: each row is compared with
+    the row before it, whichever table that came from.  Every row formats
+    its own ``split`` cell.  Bytes, not ``==``: a ``-0.0`` after a ``0.0`` is
+    formatted again.
     """
-    names = table.dtype.names
-    before, after = names[: names.index(split)], names[names.index(split) + 1 :]
-    spell = _CELL_FORMATS[table.dtype[split].kind]
     head = tail = None
-    for start in range(0, len(table), _BLOCK):
-        # with the row before, against which the block's first row is compared
-        first = max(start - 1, 0)
-        rows = table[first : start + _BLOCK]
-        new_head = _new_runs(rows, before)[start - first :]
-        new_tail = _new_runs(rows, after)[start - first :]
-        rows = rows[start - first :]
+    for rows in _blocks(tables):
+        names = rows.dtype.names
+        before, after = names[: names.index(split)], names[names.index(split) + 1 :]
+        new_head = _new_runs(rows, before)[1:]
+        new_tail = _new_runs(rows, after)[1:]
+        if head is None:
+            # the first row has no row before it
+            new_head[0] = new_tail[0] = True
+        rows = rows[1:]
         heads = [head, *_joined_cells(rows[new_head], before)]
         tails = [tail, *_joined_cells(rows[new_tail], after)]
+        spell = _CELL_FORMATS[rows.dtype[split].kind]
         yield "".join(
             [
                 f"{heads[h]},{cell},{tails[t]}\n"
@@ -473,18 +535,21 @@ def _table_text(table: np.ndarray, split: str):
         head, tail = heads[-1], tails[-1]
 
 
-def _write_table(path, table: np.ndarray, dtype: np.dtype, split: str) -> None:
-    """Write ``table`` as a ``dtype`` table: a header of its columns, then
-    the lines of ``_table_text``."""
-    lines = _table_text(np.asarray(table, dtype=dtype), split)
+def _write_table(path, tables, dtype: np.dtype, split: str) -> None:
+    """Write the rows of ``tables`` as one ``dtype`` table: a header of its
+    columns, then the lines of ``_table_text``."""
+    lines = _table_text((np.asarray(table, dtype=dtype) for table in tables), split)
     write_atomically(path, itertools.chain([",".join(dtype.names) + "\n"], lines))
 
 
-def write_dataset(ds: SweepDataset, path) -> None:
-    """Format the table column by column, each cell by ``_CELL_FORMATS``,
+def write_dataset(data, path) -> None:
+    """Write ``data``, a ``SweepDataset`` or an iterable of ``DATASET_DTYPE``
+    tables such as the blocks of ``sweep``, which are taken one at a time.
+    The table is formatted column by column, each cell by ``_CELL_FORMATS``,
     reusing the cells on either side of ``step`` of a row equal in bytes
     there to the row before it."""
-    _write_table(path, ds.table, DATASET_DTYPE, "step")
+    tables = [data.table] if isinstance(data, SweepDataset) else data
+    _write_table(path, tables, DATASET_DTYPE, "step")
 
 
 def _read_header(fh, columns) -> None:
@@ -706,11 +771,11 @@ def notched_box(ds: SweepDataset, metric: str, step: int) -> np.ndarray:
 
 
 def write_quantiles(table: np.ndarray, path) -> None:
-    _write_table(path, table, QUANTILE_DTYPE, "step")
+    _write_table(path, [table], QUANTILE_DTYPE, "step")
 
 
 def write_boxes(table: np.ndarray, path) -> None:
-    _write_table(path, table, BOX_DTYPE, "median")
+    _write_table(path, [table], BOX_DTYPE, "median")
 
 
 # an aggregation table holds only finite numbers: its scenario floats come
@@ -726,4 +791,4 @@ def read_boxes(path) -> np.ndarray:
 def write_manifest(grid: SweepGrid, path) -> None:
     """One line per scenario and replication with its derived seed."""
     rows = [(*_scenario_values(s), rep, seed) for s, rep, seed in _replications(grid)]
-    _write_table(path, rows, MANIFEST_DTYPE, "replication")
+    _write_table(path, [rows], MANIFEST_DTYPE, "replication")

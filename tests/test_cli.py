@@ -3,6 +3,10 @@ import dataclasses
 import errno
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -12,14 +16,14 @@ from sepaird.montecarlo import (
     CSV_COLUMNS,
     QUANTILE_COLUMNS,
     DatasetError,
+    _BLOCK,
     read_dataset,
 )
 from sepaird.ode import MAX_STEPS, abm_to_ode, effective_reproduction, integrate, seeded_state
 from sepaird.params import SimParams, params_to_config
 
-DEMO_DATASET = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "output", "dataset.csv"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_DATASET = os.path.join(ROOT, "demos", "output", "dataset.csv")
 FAST = SimParams(n_agents=300, n_initial_infected=5, mutation_prob=0.05,
                  drift_prob=0.3, horizon=12, seed=3)
 
@@ -315,6 +319,41 @@ def test_sweep_reads_negative_zero_config_as_zero(tmp_path):
                      "--out", str(out)]) == 0
         manifests.append((out / "manifest.csv").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def test_killed_sweep_leaves_a_prefix_of_its_dataset(grid_file, tmp_path):
+    # outbreaks that persist in small worlds: ten blocks of rows in about a second
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(params_to_config(dataclasses.replace(FAST, n_agents=100, horizon=512)))
+    argv = ["sweep", str(cfg), "--grid", grid_file, "--reps", "20", "--jobs", "1"]
+    whole = tmp_path / "whole"
+    assert main(argv + ["--out", str(whole)]) == 0
+    dataset = (whole / "dataset.csv").read_bytes()
+    assert dataset.count(b"\n") == 1 + 10 * _BLOCK
+    # the end of the header and the first two blocks of rows
+    two_blocks = len(b"".join(dataset.splitlines(keepends=True)[: 1 + 2 * _BLOCK]))
+    killed = tmp_path / "killed"
+    partial = killed / "dataset.csv.partial"
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "sepaird.cli", *argv, "--out", str(killed)],
+                            env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (partial.exists() and partial.stat().st_size > two_blocks):
+            assert proc.poll() is None, "the sweep ended before it was killed"
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+    assert proc.returncode == -signal.SIGKILL
+    written = partial.read_bytes()
+    assert two_blocks < len(written) < len(dataset)
+    assert dataset.startswith(written)
+    assert not (killed / "dataset.csv").exists()
+    assert (killed / "manifest.csv").read_bytes() == (whole / "manifest.csv").read_bytes()
 
 
 def test_sweep_rejects_bad_grid(config, tmp_path, capsys):

@@ -15,7 +15,14 @@ import pytest
 
 from sepaird.abm import init_world, run
 from sepaird.cli import main
-from sepaird.montecarlo import SweepGrid, quantile_series, sweep, write_dataset, write_manifest
+from sepaird.montecarlo import (
+    SweepDataset,
+    SweepGrid,
+    quantile_series,
+    sweep,
+    write_dataset,
+    write_manifest,
+)
 from sepaird.params import SimParams, params_to_config
 from sepaird.svg import render_quantile_lines
 
@@ -144,7 +151,7 @@ def tiny_sweep():
         social_distancing=(0.0,),
         replications=3,
     )
-    return grid, sweep(grid)
+    return grid, SweepDataset.from_tables(sweep(grid))
 
 
 def test_sweep_files_are_pinned(tmp_path, tiny_sweep):
@@ -174,10 +181,11 @@ def test_subcritical_sweep_is_pinned(tmp_path):
         social_distancing=(0.6, 0.8),
         replications=4,
     )
-    dataset = sweep(grid)
-    extinct = [row.extinct for row in dataset.rows]
+    blocks = list(sweep(grid))
+    extinct = [row.extinct for row in SweepDataset.from_tables(blocks).rows]
     assert any(extinct) and not all(extinct)
-    write_dataset(dataset, tmp_path / "dataset.csv")
+    # the blocks one at a time, as the sweep command writes them
+    write_dataset(iter(blocks), tmp_path / "dataset.csv")
     data = (tmp_path / "dataset.csv").read_bytes()
     assert _sha256(data) == SUBCRITICAL_DATASET_DIGEST, _pin_message("subcritical dataset.csv")
 

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -103,7 +105,7 @@ def mini_grid():
 
 @pytest.fixture(scope="module")
 def mini_dataset(mini_grid):
-    return sweep(mini_grid)
+    return SweepDataset.from_tables(sweep(mini_grid))
 
 
 # -- scenarios and grids ------------------------------------------------
@@ -331,20 +333,19 @@ def test_sweep_row_count_and_order(mini_grid, mini_dataset):
 
 
 def test_sweep_is_deterministic(mini_grid, mini_dataset):
-    again = sweep(mini_grid)
+    again = SweepDataset.from_tables(sweep(mini_grid))
     assert again.rows == mini_dataset.rows
 
 
 def test_sweep_workers_do_not_change_rows(mini_grid, mini_dataset):
-    parallel = sweep(mini_grid, jobs=2)
+    parallel = SweepDataset.from_tables(sweep(mini_grid, jobs=2))
     assert parallel.rows == mini_dataset.rows
 
 
 def test_sweep_task_returns_one_table_block(mini_grid):
     # workers send numpy blocks, so no MetricRow is pickled across the pool;
     # this replication never dies out, so every row is observed
-    index, block = _sweep_task(mini_grid.base, next(enumerate(_replications(mini_grid))))
-    assert index == 0
+    block = _sweep_task(mini_grid.base, next(_replications(mini_grid)))
     assert block.dtype == DATASET_DTYPE
     assert block["step"].tolist() == list(range(1, mini_grid.horizon + 1))
 
@@ -363,12 +364,14 @@ DYING_GRID = SweepGrid(
 
 def test_sweep_task_sends_only_the_observed_rows():
     grid = DYING_GRID
-    table = sweep(grid).table.reshape(-1, grid.horizon)
-    assert table.tobytes() == sweep(grid, jobs=2).table.tobytes()
+    blocks = list(sweep(grid))
+    assert SweepDataset.from_tables(blocks).table.tobytes() == (
+        SweepDataset.from_tables(sweep(grid, jobs=2)).table.tobytes()
+    )
     sizes = []
-    for task in enumerate(_replications(grid)):
-        index, rows = _sweep_task(grid.base, task)
-        scenario, replication, seed = task[1]
+    for block, task in zip(blocks, _replications(grid), strict=True):
+        rows = _sweep_task(grid.base, task)
+        scenario, replication, seed = task
         sizes.append(rows.size)
         # the rows up to the first extinct one, or to the horizon
         assert rows["step"].tolist() == list(range(1, rows.size + 1))
@@ -376,39 +379,81 @@ def test_sweep_task_sends_only_the_observed_rows():
         assert rows["extinct"][-1] or rows.size == grid.horizon
         # the sweep fills the rest as the whole run would
         p = dataclasses.replace(scenario.apply(grid.base), seed=seed)
-        assert table[index].tobytes() == collect_world_run(init_world(p), replication).tobytes()
-        assert table[index][: rows.size].tobytes() == rows.tobytes()
+        assert block.tobytes() == collect_world_run(init_world(p), replication).tobytes()
+        assert block[: rows.size].tobytes() == rows.tobytes()
     assert max(sizes) < grid.horizon
 
 
-def test_sweep_holds_the_table_once():
-    # runs that die out early on a long horizon: the table dwarfs one world
+# runs that die out early on a long horizon: a table of them dwarfs one world
+STREAMED_GRID = SweepGrid(
+    base=SimParams(n_agents=50, n_initial_infected=1, horizon=2000, seed=42),
+    mutation_prob=(0.0,),
+    cross_immunity=(0.5,),
+    cross_protection=(0.99,),
+    isolate_symptomatic=(False,),
+    social_distancing=(0.8,),
+    replications=8,
+)
+
+
+def test_sweep_writes_its_dataset_in_bounded_memory(tmp_path):
+    grid = STREAMED_GRID
+    path = tmp_path / "dataset.csv"
+    # the first sweep of a process imports modules that would count too
+    write_dataset(sweep(dataclasses.replace(grid, replications=1)), path)
+    table = grid.replications * grid.horizon * DATASET_DTYPE.itemsize
+    peaks = {}
+    for replications in (8, 32):
+        tracemalloc.start()
+        try:
+            write_dataset(sweep(dataclasses.replace(grid, replications=replications)), path)
+            peaks[replications] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 0
+    # the writer's buffer and one block of text, never the table
+    assert max(peaks.values()) < table, (peaks, table)
+    assert peaks[32] < 1.05 * peaks[8], peaks
+
+
+def test_closing_a_parallel_sweep_stops_its_workers(tmp_path):
+    # mutating outbreaks that persist: about 0.2 CPU-s a replication, several
+    # seconds for the grid
     grid = SweepGrid(
-        base=SimParams(n_agents=50, n_initial_infected=1, horizon=2000, seed=42),
-        mutation_prob=(0.0,),
+        base=SimParams(n_agents=3000, horizon=300, seed=42),
+        mutation_prob=(0.02,),
         cross_immunity=(0.5,),
         cross_protection=(0.99,),
         isolate_symptomatic=(False,),
-        social_distancing=(0.8,),
-        replications=8,
+        social_distancing=(0.0,),
+        replications=48,
     )
-    # the first sweep of a process imports modules that would count too
-    sweep(dataclasses.replace(grid, base=dataclasses.replace(grid.base, horizon=5), replications=1))
-    tracemalloc.start()
-    try:
-        dataset = sweep(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * dataset.table.nbytes
+    blocks = sweep(grid, jobs=2)
+    path = tmp_path / "dataset.csv"
+
+    def one_block():
+        yield next(blocks)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_dataset(one_block(), path)
+    start = time.monotonic()
+    blocks.close()
+    assert time.monotonic() - start < 0.5
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_progress_callback(mini_grid):
-    ticks = []
-    short = dataclasses.replace(mini_grid.base, horizon=3)
-    sweep(dataclasses.replace(mini_grid, base=short, replications=1),
-          progress=lambda done, total: ticks.append((done, total)))
-    assert ticks == [(i, 4) for i in range(1, 5)]
+    short = dataclasses.replace(mini_grid, base=dataclasses.replace(mini_grid.base, horizon=3))
+    for jobs in (1, 2):
+        # one tick per block, once the block is taken, in canonical order
+        events = []
+        blocks = sweep(short, jobs=jobs, progress=lambda done, total: events.append((done, total)))
+        for block in blocks:
+            events.append(block["replication"].tolist())
+        assert events == [e for i in range(8) for e in ([i % 2] * 3, (i + 1, 8))]
+
 
 
 @pytest.fixture
@@ -563,6 +608,12 @@ def test_write_dataset_matches_formatting_every_cell(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[6].split(",")[CSV_COLUMNS.index("mean_r0")] == "-0.0"
     assert lines[7].split(",")[CSV_COLUMNS.index("mean_r0")] == "0.0"
+    # the rows as tables of uneven sizes, one of them empty, cut inside runs,
+    # between the two zeros and on either side of the blocks' edges
+    cuts = [0, 1, 6, 9, 4095, 4096, 4096, 4097, 5000, 8191, len(table)]
+    pieces = tmp_path / "pieces.csv"
+    write_dataset((table[a:b] for a, b in zip(cuts, cuts[1:])), pieces)
+    assert pieces.read_bytes() == path.read_bytes()
 
 
 def test_write_dataset_of_a_sweep_matches_formatting_every_cell(tmp_path, mini_dataset):
