@@ -11,16 +11,18 @@ marks of a course are one fact, ``course_marks``, an ``(n_agents, 3)``
 block in ``draw_course`` order.  Facts that follow from others (the
 isolation flags, the living and dead counts) are derived from them on
 read.  Per-agent work is batched per phase without changing a single draw
-or its order: the contact phase finds its infections in numpy, makes each
-infection's draws in turn through the generator's bound methods (and
-``try_infect`` for a mutation), and writes ``variant_of`` and the new
-courses (counter, marks, flags, counts) once after its loop; the
+or its order, and with few numpy calls, since a small step's time is
+their fixed cost: the contact phase draws its contacts as one flat block,
+finds its infections in numpy, makes each infection's draws in turn
+through the generator's bound methods (and ``try_infect`` for a
+mutation), and writes ``variant_of`` and the new courses (counter, marks,
+flags, one ``bincount`` of the counts) once after its loop; the
 progression phase walks the immunity of all of its survivors in one call,
-over a byte copy of their rows, reading its scalar draws from a block and
-then moving the stream just past the ones it used.  A step's work follows
-its infections, not the population: ``step`` is the only driver of the
-phases, listing the infected agents once and handing the list to both, and
-the list of the living is remade only after a death.  A world with no
+over a byte copy of their rows, drawing its scalar draws ahead as a block
+and then rewinding the stream over the ones it did not use.  A step's work
+follows its infections, not the population: ``step`` is the only driver of
+the phases, listing the infected agents once and handing the list to both,
+and the list of the living is remade only after a death.  A world with no
 active infection is absorbing: its later steps only advance
 ``step_index``, so ``run`` without a callback moves it to its horizon at
 once.  A ``World`` is confined to a single execution context for its whole
@@ -71,12 +73,16 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Ascending positions of the first occurrence of each distinct value
     in the non-empty ``values``: a stable sort puts the first one of each
     run of equal values first."""
-    order = np.argsort(values, kind="stable")
+    if values.size == 1:
+        return np.zeros(1, dtype=np.intp)
+    order = values.argsort(kind="stable")
     ordered = values[order]
     first = np.empty(values.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return np.sort(order[first])
+    firsts = order[first]
+    firsts.sort()
+    return firsts
 
 
 class World:
@@ -155,7 +161,7 @@ class World:
     def active_variants(self) -> np.ndarray:
         """Variant ids with at least one active infection, ascending."""
         counts = self.active_count[: self.registry.n_variants]
-        return np.where(counts > 0)[0]
+        return (counts > 0).nonzero()[0]
 
     def _log(self, event: str, agent: int, variant: int):
         if self.events is not None:
@@ -169,12 +175,13 @@ class World:
         ``variant_of`` is already set; row ``i`` of ``normals`` holds
         agent ``i``'s course draws."""
         variants = self.variant_of[agents]
-        marks = draw_course(self.registry.props_matrix[variants], self.params.course_sd_frac, normals)
+        props = self.registry.props_matrix.take(variants, axis=0)
+        marks = draw_course(props, self.params.course_sd_frac, normals)
         self.counter[agents] = 0
         self.course_marks[agents] = marks
         self.symptomatic[agents] = _UNDETERMINED
         self.ever_infected[agents] = True
-        np.add.at(self.active_count, variants, 1)
+        self.active_count += np.bincount(variants, minlength=self.active_count.size)
         self.cum_infections += agents.size
 
     def try_infect(self, source_variant: int, target: int, course: np.ndarray) -> int:
@@ -260,16 +267,21 @@ class World:
         if carriers.size == 0 or living.size <= 1:
             return infected[:0]
         eta = self.params.daily_contacts
-        idx = self.rng.integers(0, living.size - 1, size=(carriers.size, eta))
+        # one flat block draws the words of a (carriers, eta) one, without
+        # the cost numpy pays to size a tuple
+        idx = self.rng.integers(0, living.size - 1, size=carriers.size * eta)
         rolls = self.rng.uniform(size=(carriers.size, eta))
         source = self.variant_of[carriers]
-        infectiousness = np.minimum(self.registry.props_matrix[source, INFECTIOUSNESS], 1.0)
+        infectiousness = np.minimum(self.registry.props_matrix[:, INFECTIOUSNESS][source], 1.0)
         transmit = infectiousness * (1.0 - self.params.social_distancing)
         # only the contacts whose roll transmits, a few percent of them, are
-        # looked up; np.nonzero keeps them in (carrier, contact) order
-        rows, cols = np.nonzero(rolls < transmit[:, None])
-        picks = idx[rows, cols]
-        picks += picks >= np.searchsorted(living, carriers)[rows]
+        # looked up, in (carrier, contact) order
+        flat = (rolls < transmit[:, None]).ravel().nonzero()[0]
+        if flat.size == 0:
+            return infected[:0]
+        rows = flat // eta
+        picks = idx[flat]
+        picks += picks >= living.searchsorted(carriers[rows])
         targets = living[picks]
         clusters = self.registry.variant_cluster[source[rows]]
         infecting = (self.variant_of[targets] < 0) & ~self.immune[targets, clusters]
@@ -315,18 +327,18 @@ class World:
         ]
         props = self.registry.props_matrix
         if symptoms_due.size:
-            chance = np.minimum(props[self.variant_of[symptoms_due], SYMPTOMATIC_CHANCE], 1.0)
+            chance = np.minimum(props[:, SYMPTOMATIC_CHANCE][self.variant_of[symptoms_due]], 1.0)
             self.symptomatic[symptoms_due] = self.rng.uniform(size=symptoms_due.size) < chance
         ending = infected[count >= end_day]
         if ending.size == 0:
             return
         variants = self.variant_of[ending]
-        fatality = np.minimum(props[variants, FATALITY], 1.0)
+        fatality = np.minimum(props[:, FATALITY][variants], 1.0)
         protected = self.immune[ending, : self.registry.n_clusters].any(axis=1)
         fatality = np.where(protected, fatality * (1.0 - self.params.cross_protection), fatality)
         dies = self.rng.uniform(size=ending.size) < fatality
         clusters = self.registry.variant_cluster[variants]
-        np.subtract.at(self.active_count, variants, 1)
+        self.active_count -= np.bincount(variants, minlength=self.active_count.size)
         self.variant_of[ending] = _NO_INFECTION
         self.alive[ending[dies]] = False
         survives = ~dies
@@ -347,9 +359,11 @@ class World:
 
         The draws are those of that order, but none is made one by one.
         With one cluster there is nothing to draw.  Otherwise they are read
-        from a block of upcoming draws, doubled whenever the walk runs out,
-        and the stream then skips the ones used.  The walk reads and writes
-        a byte copy of the agents' immunity rows, written back once.
+        from a block drawn ahead through the generator's bound ``random``;
+        whenever the walk runs out, a further block as long as all drawn so
+        far is appended, and at the end the stream is rewound over the
+        draws not used.  The walk reads and writes a byte copy of the
+        agents' immunity rows, written back once.
         """
         immune = self.immune
         immune[agents, clusters] = True
@@ -360,7 +374,8 @@ class World:
         neighbors = self.registry.neighbor_table
         held = bytearray(immune[agents, :n_clusters])
         size = min(agents.size * (n_clusters - 1), 4 * agents.size + 16)
-        draws = self.rng.peek_uniform(size).tolist()
+        random = self.rng.generator.random
+        draws = random(size).tolist()
         used = 0
         row = 0
         for cluster in clusters.tolist():
@@ -369,15 +384,15 @@ class World:
                 for neighbor in neighbors[node]:
                     if not held[row + neighbor]:
                         if used == size:
+                            draws += random(size).tolist()
                             size *= 2
-                            draws = self.rng.peek_uniform(size).tolist()
                         used += 1
                         if draws[used - 1] < psi:
                             held[row + neighbor] = 1
                             queue.append(neighbor)
             row += n_clusters
         immune[agents, :n_clusters] = np.frombuffer(held, dtype=bool).reshape(-1, n_clusters)
-        self.rng.skip(used)
+        self.rng.rewind(size - used)
 
     # -- driver ----------------------------------------------------------
 
@@ -390,7 +405,8 @@ class World:
         contact phase only adds.
         """
         self.step_index += 1
-        infected = np.where(self.variant_of >= 0)[0]
+        # numpy scans for != faster than for >= 0, which selects the same agents
+        infected = (self.variant_of != _NO_INFECTION).nonzero()[0]
         if infected.size == 0:
             return
         new = self.contact_phase(infected)
@@ -400,7 +416,7 @@ class World:
             if 8 * infected.size < self.params.n_agents:
                 infected.sort()
             else:
-                infected = np.where(self.variant_of >= 0)[0]
+                infected = (self.variant_of != _NO_INFECTION).nonzero()[0]
         self.progression_phase(infected)
         active = self.active_variants()
         if active.size:

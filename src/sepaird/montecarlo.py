@@ -44,15 +44,15 @@ of its column's dtype, so the dtype coerces a value before it is spelled;
 scenario floats are spelled as ``+0.0`` of their value, so scenarios that
 compare equal are spelled, keyed and seeded alike.  One writer,
 ``_write_table``, takes the rows of a table from an iterable of tables,
-one at a time, and formats them column by column in blocks of ``_BLOCK``
-rows, the cells on either side of one column once per run of rows whose
-bytes on that side are equal, across the tables' edges too, and
-``write_atomically`` writes them to ``<path>.partial`` and renames that to
-the path once complete, or removes it if the write fails.  One reader,
-``_read_columns``, parses a CSV in blocks of as many lines, keeps the
-columns asked for, joins them, and rejects a malformed line, a non-finite
-required cell or outlier, or a NUL, with its line number; a line is
-checked whole, whichever columns are kept.
+one at a time, and formats them column by column in blocks of
+``_TEXT_BLOCK`` rows, the cells on either side of one column once per run
+of rows whose bytes on that side are equal, across the tables' and the
+blocks' edges too, and ``write_atomically`` writes them to
+``<path>.partial`` and renames that to the path once complete, or removes
+it if the write fails.  One reader, ``_read_columns``, parses a CSV in
+blocks of ``_BLOCK`` lines, keeps the columns asked for, joins them, and
+rejects a malformed line, a non-finite required cell or outlier, or a NUL,
+with its line number; a line is checked whole, whichever columns are kept.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -67,7 +67,6 @@ import contextlib
 import dataclasses
 import functools
 import itertools
-import multiprocessing
 import operator
 import os
 import warnings
@@ -391,6 +390,10 @@ def _sweep_blocks(grid: SweepGrid, jobs: int, progress):
         if jobs == 1:
             results = map(run_task, tasks)
         else:
+            # imported here: only a pool needs it, and it costs every other
+            # command's start-up several milliseconds
+            import multiprocessing
+
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             results = _in_order(pool, run_task, tasks, jobs * _AHEAD_PER_JOB)
         for done, rows in enumerate(results, start=1):
@@ -444,10 +447,13 @@ def write_atomically(path, text) -> None:
             os.remove(partial)
 
 
-# rows formatted or parsed per block: a column formatted whole would hold one
-# Python object per cell of the table at once, and a file parsed whole would
-# hold all its text cells at once beside the table
+# lines parsed per block: a file parsed whole would hold all its text cells
+# at once beside the table
 _BLOCK = 4096
+# rows formatted per block: the writer holds a block's cells and lines as
+# Python objects, up to 1.5 kB a row, so a longer block raises its peak for
+# little speed
+_TEXT_BLOCK = 512
 
 
 def _joined_cells(rows: np.ndarray, columns) -> map:
@@ -476,22 +482,22 @@ def _new_runs(rows: np.ndarray, columns) -> np.ndarray:
 
 def _blocks(tables):
     """The rows of ``tables``, an iterable of tables of one dtype, in blocks
-    of ``_BLOCK`` rows, the last one shorter.  Each block is yielded after
-    the row before it, as rows 1 on of one buffer reused from block to
-    block; the first block's row 0 is unset."""
+    of ``_TEXT_BLOCK`` rows, the last one shorter.  Each block is yielded
+    after the row before it, as rows 1 on of one buffer reused from block
+    to block; the first block's row 0 is unset."""
     buffer, filled = None, 0
     for table in tables:
         if buffer is None:
-            buffer = np.empty(_BLOCK + 1, dtype=table.dtype)
+            buffer = np.empty(_TEXT_BLOCK + 1, dtype=table.dtype)
         start = 0
         while start < len(table):
-            rows = table[start : start + _BLOCK - filled]
+            rows = table[start : start + _TEXT_BLOCK - filled]
             buffer[1 + filled : 1 + filled + len(rows)] = rows
             filled += len(rows)
             start += len(rows)
-            if filled == _BLOCK:
+            if filled == _TEXT_BLOCK:
                 yield buffer
-                buffer[0] = buffer[_BLOCK]
+                buffer[0] = buffer[_TEXT_BLOCK]
                 filled = 0
     if filled:
         yield buffer[: 1 + filled]
@@ -499,7 +505,7 @@ def _blocks(tables):
 
 def _table_text(tables, split: str):
     """The CSV lines of the rows of ``tables``, an iterable of tables of one
-    dtype, one string per block of ``_BLOCK`` rows.
+    dtype, one string per block of ``_TEXT_BLOCK`` rows.
 
     The cells before column ``split`` are formatted once per run of rows
     whose bytes in them are equal, such as a scenario's rows, and the cells

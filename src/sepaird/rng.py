@@ -6,6 +6,12 @@ seeded from a 64-bit integer.  The generator is pinned to numpy's PCG64
 streams built from the same seed produce bitwise-identical draw sequences
 on every platform.
 
+A caller that cannot know how many scalar uniforms it needs draws a block
+ahead and then gives the rest back with ``RngStream.rewind``, which moves
+the generator back in O(log n) and keeps the 32-bit half-word that
+``integers`` may hold for its next draw, so the stream is left where the
+scalar draws would have left it.
+
 Replication seeds for parameter sweeps are derived with :func:`derive_seed`,
 a splitmix64/FNV-1a mix over the scenario content, so adding scenarios to a
 grid never perturbs the seeds of existing ones.
@@ -13,9 +19,25 @@ grid never perturbs the seeds of existing ones.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# PCG64's period: advancing by _PERIOD - n steps back n words
+_PERIOD = 1 << 128
+
+
+class _PCG64State(ctypes.Structure):
+    """The head of numpy's C ``pcg64_state`` behind a ``PCG64``: a pointer
+    to the 128-bit generator, then whether a 32-bit half-word is held back
+    for the next 32-bit draw, and that half-word.  Only ever read."""
+
+    _fields_ = [
+        ("pcg_state", ctypes.c_void_p),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
 
 
 class RngStream:
@@ -24,6 +46,7 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._c_state = _PCG64State.from_address(self._gen.bit_generator.ctypes.state_address)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -36,30 +59,25 @@ class RngStream:
         """Uniform draw(s) on [0, 1)."""
         return self._gen.random(size)
 
-    def peek_uniform(self, size: int) -> np.ndarray:
-        """The next ``size`` uniform draws, leaving the stream where it was."""
-        bit_generator = self._gen.bit_generator
-        state = bit_generator.state
-        draws = self._gen.random(size)
-        bit_generator.state = state
-        return draws
+    def rewind(self, n: int) -> None:
+        """Move the stream back over its last ``n`` 64-bit words, such as
+        the last ``n`` scalar ``uniform()`` draws.
 
-    def skip(self, n: int) -> None:
-        """Move the stream past ``n`` scalar ``uniform()`` draws.
-
-        ``PCG64.advance`` does this in O(log n) but drops the 32-bit
-        half-word that ``integers`` may hold back for its next draw, so the
-        half-word is saved first and put back afterwards.
+        ``PCG64.advance`` steps modulo the period, 2**128, in O(log n), but
+        drops the 32-bit half-word that ``integers`` may hold back for its
+        next draw.  A held half-word is read through the generator's C
+        state and put back through its ``state``, so the state dict is
+        read and written only when there is one to keep.
         """
-        if n == 0:
-            return
         bit_generator = self._gen.bit_generator
-        before = bit_generator.state
-        bit_generator.advance(n)
-        after = bit_generator.state
-        after["has_uint32"] = before["has_uint32"]
-        after["uinteger"] = before["uinteger"]
-        bit_generator.state = after
+        held = self._c_state.has_uint32
+        half_word = self._c_state.uinteger
+        bit_generator.advance(_PERIOD - n)
+        if held:
+            state = bit_generator.state
+            state["has_uint32"] = 1
+            state["uinteger"] = half_word
+            bit_generator.state = state
 
     def bernoulli(self, p: float) -> bool:
         """Single success/failure draw with probability ``p``."""

@@ -173,15 +173,18 @@ def render_quantile_lines(table: np.ndarray, metric: str) -> str:
     parts = []
     x_ticks = [(t, _fmt_tick(t)) for t in _ticks(canvas.x_lo, canvas.x_hi)]
     _frame(parts, canvas, metric, "step", metric, x_ticks, _ticks(canvas.y_lo, canvas.y_hi))
+    # every row's pixel coordinates at once: the canvas's arithmetic, each
+    # operation applied elementwise in the same order
+    points = np.stack((canvas.x(steps), canvas.y(values)), axis=1)
     # one polyline per (scenario, quantile), its points in (step, value) order
     order = np.lexsort((values, steps, quantiles, ordinal))
     keys = np.stack([ordinal[order], quantiles[order]])
     ends = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
     for line in np.split(order, ends):
         scenario_idx, quantile = int(ordinal[line[0]]), float(quantiles[line[0]])
-        points = zip(steps[line].tolist(), values[line].tolist())
         color = _PALETTE[scenario_idx % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(canvas.x(s))},{_fmt(canvas.y(v))}" for s, v in points)
+        # "%.2f" spells a float as _fmt does
+        coords = ("%.2f,%.2f " * line.size % tuple(points[line].ravel().tolist()))[:-1]
         if abs(quantile - 0.5) < 1e-9:
             style = f'stroke="{color}" stroke-width="2" fill="none"'
         else:

@@ -397,6 +397,36 @@ def test_contact_phase_matches_scalar_reference(psi, log_events, overrides):
     assert batched.rng.normal(0.0, 1.0, 3).tolist() == scalar.rng.normal(0.0, 1.0, 3).tolist()
 
 
+@pytest.mark.parametrize(
+    "seed,distancing,hits",
+    [
+        pytest.param(5, 1.0, 0, id="every_roll_fails"),
+        # the one hit mutates, so try_infect draws inside the phase
+        pytest.param(1, 0.0, 1, id="one_hit"),
+    ],
+)
+def test_contact_phase_edges_match_scalar_reference(seed, distancing, hits):
+    # five seed courses of exactly four latent days carry in the fifth
+    # phase; 3 contacts each draw 15 half-words, so one is held back after
+    # the phase's integers call
+    p = SimParams(n_agents=300, n_initial_infected=5, daily_contacts=3, course_sd_frac=0.0,
+                  mutation_prob=0.5, social_distancing=distancing, seed=seed)
+    batched, scalar = init_world(p), init_world(p)
+    for _ in range(4):
+        batched.step()
+        scalar.step()
+    blocked = []
+    new = batched.contact_phase(np.flatnonzero(batched.variant_of >= 0))
+    assert new.tolist() == _scalar_contact_phase(scalar, blocked).tolist()
+    assert new.size == hits and not blocked
+    assert batched.registry.n_variants == 1 + hits
+    assert batched.state_bytes() == scalar.state_bytes()
+    assert batched.rng.generator.bit_generator.state["has_uint32"] == 1
+    next_integers = [w.rng.integers(0, 1000, size=3).tolist() for w in (batched, scalar)]
+    assert next_integers[0] == next_integers[1]
+    assert batched.rng.uniform(size=4).tolist() == scalar.rng.uniform(size=4).tolist()
+
+
 def test_every_infection_mutates_when_certain(tiny_params):
     p = tiny_params(mutation_prob=1.0, drift_prob=1.0, horizon=30)
     w = run(init_world(p))

@@ -321,6 +321,24 @@ def test_sweep_reads_negative_zero_config_as_zero(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def _env_with_src() -> dict:
+    """This environment, with the package's sources first on the path of
+    a child interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a sweep with --jobs > 1 opens a pool; every other command starts
+    # without paying for the import
+    probe = "import sys, sepaird.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"
+
+
 def test_killed_sweep_leaves_a_prefix_of_its_dataset(grid_file, tmp_path):
     # outbreaks that persist in small worlds: ten blocks of rows in about a second
     cfg = tmp_path / "long.cfg"
@@ -334,11 +352,8 @@ def test_killed_sweep_leaves_a_prefix_of_its_dataset(grid_file, tmp_path):
     two_blocks = len(b"".join(dataset.splitlines(keepends=True)[: 1 + 2 * _BLOCK]))
     killed = tmp_path / "killed"
     partial = killed / "dataset.csv.partial"
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "sepaird.cli", *argv, "--out", str(killed)],
-                            env=env, start_new_session=True)
+                            env=_env_with_src(), start_new_session=True)
     try:
         deadline = time.monotonic() + 60.0
         while not (partial.exists() and partial.stat().st_size > two_blocks):

@@ -416,6 +416,32 @@ def test_sweep_writes_its_dataset_in_bounded_memory(tmp_path):
     assert peaks[32] < 1.05 * peaks[8], peaks
 
 
+def test_write_dataset_holds_one_text_block_at_a_time(tmp_path):
+    # random cells, so no row repeats the one before and every cell is spelled
+    rng = np.random.default_rng(3)
+    table = np.zeros(4 * _BLOCK, dtype=DATASET_DTYPE)
+    for name in DATASET_DTYPE.names:
+        kind = DATASET_DTYPE[name].kind
+        if kind == "b":
+            table[name] = rng.random(len(table)) < 0.5
+        elif kind == "i":
+            table[name] = rng.integers(0, 10**6, len(table))
+        else:
+            table[name] = rng.random(len(table))
+    path = tmp_path / "dataset.csv"
+    write_dataset(SweepDataset(table), path)  # a first write may fill caches
+    tracemalloc.start()
+    try:
+        write_dataset(SweepDataset(table), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text of 512 rows, as many as the writer formats at once; it holds
+    # their cells as objects, their lines and the lines' joined string
+    block_text = path.stat().st_size / len(table) * 512
+    assert peak < 6 * block_text, (peak, block_text)
+
+
 def test_closing_a_parallel_sweep_stops_its_workers(tmp_path):
     # mutating outbreaks that persist: about 0.2 CPU-s a replication, several
     # seconds for the grid

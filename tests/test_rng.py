@@ -130,40 +130,66 @@ def test_integers_draws_are_pinned():
     assert rng.integers(0, 2**40, size=2).tolist() == [39047910805, 277216523588]
 
 
-# -- moving the stream without scalar draws
+# -- moving the stream back over scalar draws
 
 
-def test_skip_matches_scalar_uniforms_from_a_cached_half_word():
-    a, b = RngStream(31), RngStream(31)
-    a.integers(0, 10, size=3)
-    b.integers(0, 10, size=3)
-    assert a._gen.bit_generator.state["has_uint32"] == 1  # a half-word is held back
-    for k in (1, 7, 1000, 2):
-        a.skip(k)
-        for _ in range(k):
-            b.uniform()
-        assert a.integers(0, 10, size=3).tolist() == b.integers(0, 10, size=3).tolist()
-        assert a.normal(0.0, 1.0, 5).tolist() == b.normal(0.0, 1.0, 5).tolist()
-        assert a.uniform(size=4).tolist() == b.uniform(size=4).tolist()
-        assert a.integers(0, 1000, size=1).tolist() == b.integers(0, 1000, size=1).tolist()
-    assert a._gen.bit_generator.state == b._gen.bit_generator.state
-
-
-def test_skip_zero_leaves_the_state_untouched():
+@pytest.mark.parametrize("held", [False, True], ids=["no_half_word", "held_half_word"])
+@pytest.mark.parametrize("k", [0, 1, 7, 1000])
+def test_rewind_undoes_uniform_draws(k, held):
     rng = RngStream(31)
-    rng.integers(0, 10, size=1)
-    before = rng._gen.bit_generator.state
-    rng.skip(0)
-    assert rng._gen.bit_generator.state == before
+    if held:
+        rng.integers(0, 10, size=3)  # three 32-bit draws hold one half-word back
+    before = rng.generator.bit_generator.state
+    assert before["has_uint32"] == held
+    for _ in range(k):
+        rng.uniform()
+    rng.rewind(k)
+    assert rng.generator.bit_generator.state == before
 
 
-def test_peek_uniform_reads_ahead_without_moving_the_stream():
-    rng = RngStream(31)
-    rng.integers(0, 10, size=1)
-    before = rng._gen.bit_generator.state
-    ahead = rng.peek_uniform(6).tolist()
-    assert rng._gen.bit_generator.state == before
-    assert [rng.uniform() for _ in range(6)] == ahead
+def _live(rng):
+    """The state that later draws read: a half-word is dead once drawn."""
+    state = rng.generator.bit_generator.state
+    return {**state, "uinteger": state["uinteger"] if state["has_uint32"] else None}
+
+
+def test_rewind_after_a_block_matches_scalar_draws():
+    # the immunity walk's pattern: a block read ahead, then rewound over the
+    # draws it did not use, leaves the stream where the scalar draws would
+    walked, scalar = RngStream(31), RngStream(31)
+    for w in (walked, scalar):
+        w.integers(0, 10, size=3)
+    for block, used in ((5, 2), (40, 40), (16, 0), (1000, 999)):
+        walked.uniform(size=block)
+        walked.rewind(block - used)
+        for _ in range(used):
+            scalar.uniform()
+        assert _live(walked) == _live(scalar)
+        assert walked.integers(0, 10, size=1).tolist() == scalar.integers(0, 10, size=1).tolist()
+    assert walked.normal(0.0, 1.0, 5).tolist() == scalar.normal(0.0, 1.0, 5).tolist()
+
+
+def test_rewind_drops_only_a_spent_half_word():
+    # once the held half-word is drawn, the value left behind never reaches
+    # a draw, and a rewind need not keep it
+    rewound, plain = RngStream(31), RngStream(31)
+    for rng in (rewound, plain):
+        rng.integers(0, 10, size=4)
+        assert rng.generator.bit_generator.state["has_uint32"] == 0
+    rewound.uniform(size=6)
+    rewound.rewind(6)
+    assert rewound.integers(0, 10, size=5).tolist() == plain.integers(0, 10, size=5).tolist()
+    assert rewound.generator.bit_generator.state == plain.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 50, 51])
+def test_half_word_view_reads_the_generator_state(size):
+    rng = RngStream(77)
+    for high in (10, 2**20, 2**40):
+        rng.integers(0, high, size=size)
+        state = rng.generator.bit_generator.state
+        assert rng._c_state.has_uint32 == state["has_uint32"]
+        assert rng._c_state.uinteger == state["uinteger"]
 
 
 # -- the generator's methods, bound once
