@@ -19,11 +19,11 @@ import numpy as np
 
 from .abm import init_world
 from .montecarlo import (
-    _BLOCK,
     DEFAULT_QUANTILES,
     DatasetError,
     SweepGrid,
     collect_world_run,
+    float_table_text,
     grid_from_text,
     notched_box,
     quantile_series,
@@ -32,14 +32,13 @@ from .montecarlo import (
     read_quantiles,
     sweep,
     validate_request,
-    validate_sweep,
     write_atomically,
     write_boxes,
     write_dataset,
     write_manifest,
     write_quantiles,
 )
-from .ode import OdeError, abm_to_ode, effective_reproduction, integrate, seeded_state
+from .ode import COMPARTMENTS, OdeError, abm_to_ode, effective_reproduction, integrate, seeded_state
 from .params import ConfigError, load_params
 from .svg import render_notched_boxes, render_quantile_lines
 
@@ -151,14 +150,14 @@ def _cmd_sweep(args) -> int:
     base = load_params(args.config)
     with open(args.grid, "r", encoding="utf-8") as fh:
         grid = grid_from_text(fh.read(), base, replications=args.reps)
-    jobs = _jobs_from(args)
-    validate_sweep(grid, jobs)
-    os.makedirs(args.out, exist_ok=True)
-    # first, so a sweep stopped early leaves its manifest beside the partial dataset
-    write_manifest(grid, os.path.join(args.out, "manifest.csv"))
     progress = _progress_reporter() if args.progress else None
-    # closed on the way out, so a write that fails stops the sweep's workers too
-    with contextlib.closing(sweep(grid, jobs=jobs, progress=progress)) as blocks:
+    # created first, as it checks the grid and the jobs, so a rejected sweep
+    # leaves no output; closed on the way out, so a write that fails stops
+    # the sweep's workers too
+    with contextlib.closing(sweep(grid, jobs=_jobs_from(args), progress=progress)) as blocks:
+        os.makedirs(args.out, exist_ok=True)
+        # first, so a sweep stopped early leaves its manifest beside the partial dataset
+        write_manifest(grid, os.path.join(args.out, "manifest.csv"))
         write_dataset(blocks, os.path.join(args.out, "dataset.csv"))
     return _EXIT_OK
 
@@ -172,19 +171,8 @@ def _cmd_ode(args) -> int:
     table = np.column_stack(
         (trajectory.times, trajectory.states, effective_reproduction(trajectory.states, op))
     )
-    write_atomically(args.out, _csv_blocks("t,S,E,P,A,I,R,D,Rt\n", table))
+    write_atomically(args.out, float_table_text(("t", *COMPARTMENTS, "Rt"), table))
     return _EXIT_OK
-
-
-def _csv_blocks(header: str, table: np.ndarray):
-    """``header``, then the CSV lines of the float ``table``, one string per
-    block of ``_BLOCK`` rows with each cell spelled by ``repr``; a block at
-    a time, so the table is never held whole as Python floats."""
-    yield header
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _BLOCK):
-        block = table[start : start + _BLOCK]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _cmd_analyze(args) -> int:

@@ -11,21 +11,21 @@ execution order, or the number of worker processes.  One generator,
 ``_replications``, lists the replications and their seeds in canonical
 order for the sweep tasks and the manifest.
 
-A replication fills its own block of the dataset table.  ``metric_row``
-observes its steps up to the first extinct one, returning each row's
-values in column order and reusing the active-variant summary while the
-variant set it describes is unchanged; the world then finishes through
-``abm.run``, which moves it to its horizon without stepping.  The frozen
-steps after extinction are never observed: their rows are copies of the
-first extinct row, each with its own step.  A sweep worker sends only the
-observed rows.  ``sweep`` is a stream: it yields each replication's block
-in canonical order, its tail filled through the same helper as
-``collect_world_run``, and never holds the table.  With several workers it
-keeps a bounded number of replications submitted and takes their results
-in order, so one slow replication holds back only that many finished
-ones.  The sweep command writes the blocks as they come, so a sweep
-stopped early leaves a partial dataset file that is a byte prefix of the
-whole one.
+A replication fills its own block of the dataset table, in one call over
+two helpers.  ``_observed_rows`` observes its steps by ``metric_row`` up
+to the first extinct one, each row's values in column order, reusing the
+active-variant summary while the variant set it describes is unchanged;
+the world then finishes through ``abm.run``, which moves it to its horizon
+without stepping.  ``_filled`` adds the frozen steps after extinction,
+which are never observed: their rows are copies of the first extinct row,
+each with its own step.  A sweep worker sends only the observed rows.
+``sweep`` is a stream: it yields each replication's block in canonical
+order, filled as ``collect_world_run`` fills one, and never holds the
+table.  With several workers it keeps a bounded number of replications
+submitted and takes their results in order, so one slow replication holds
+back only that many finished ones.  The sweep command writes the blocks as
+they come, so a sweep stopped early leaves a partial dataset file that is
+a byte prefix of the whole one.
 
 The schema is declared once: ``SCENARIO_FIELDS`` are the fields of
 ``Scenario``, which also name ``SweepGrid``'s value lists and the keys of
@@ -44,15 +44,17 @@ of its column's dtype, so the dtype coerces a value before it is spelled;
 scenario floats are spelled as ``+0.0`` of their value, so scenarios that
 compare equal are spelled, keyed and seeded alike.  One writer,
 ``_write_table``, takes the rows of a table from an iterable of tables,
-one at a time, and formats them column by column in blocks of
-``_TEXT_BLOCK`` rows, the cells on either side of one column once per run
-of rows whose bytes on that side are equal, across the tables' and the
-blocks' edges too, and ``write_atomically`` writes them to
-``<path>.partial`` and renames that to the path once complete, or removes
-it if the write fails.  One reader, ``_read_columns``, parses a CSV in
-blocks of ``_BLOCK`` lines, keeps the columns asked for, joins them, and
-rejects a malformed line, a non-finite required cell or outlier, or a NUL,
-with its line number; a line is checked whole, whichever columns are kept.
+one at a time, gathers them into blocks of ``_TEXT_BLOCK`` rows and
+formats each block on its own, column by column, the cells on either side
+of one column once per run of the block's rows whose bytes on that side
+are equal, and ``write_atomically`` writes them to ``<path>.partial`` and
+renames that to the path once complete, or removes it if the write fails.
+``float_table_text`` spells a plain float table, such as an ``ode``
+trajectory, in blocks of the same size.  One reader, ``_read_columns``,
+parses a CSV in blocks of ``_BLOCK`` lines, keeps the columns asked for,
+joins them, and rejects a malformed line, a non-finite required cell or
+outlier, or a NUL, with its line number; a line is checked whole,
+whichever columns are kept.
 
 Aggregation is pure: per-step empirical quantile bands and notched box
 statistics computed across replications, grouped by one sort of the
@@ -183,43 +185,46 @@ def metric_row(w, replication: int, memo: dict | None = None) -> tuple:
     )
 
 
-def _observe_run(w, replication: int, block: np.ndarray) -> int:
-    """Step ``w`` and write its rows into ``block``, one per step, up to
-    its first extinct row; return how many were written.
+def _observed_rows(w, replication: int) -> np.ndarray:
+    """Step ``w`` and observe each step, up to its first extinct one: one
+    ``DATASET_DTYPE`` row per step.
 
     Steps are observed by ``metric_row``, which reuses the variant summary
     while the variant set is unchanged.  The world then finishes through
     ``run``, which moves an extinct world to its horizon at once.
     """
     memo = {}
+    rows = np.empty(w.params.horizon - w.step_index, dtype=DATASET_DTYPE)
     observed = 0
-    while observed < block.size:
+    while observed < rows.size:
         w.step()
         row = metric_row(w, replication, memo)
-        block[observed] = row
+        rows[observed] = row
         observed += 1
         if row[-1]:
             break
     run(w)
-    return observed
+    return rows[:observed]
 
 
-def _fill_tail(block: np.ndarray, observed: int) -> None:
-    """Fill the rows of ``block`` after its first ``observed`` ones.  An
-    extinct world is frozen, so they are copies of the last observed row,
-    the first extinct one, each with its own ``step``."""
-    if observed < block.size:
-        block[observed:] = block[observed - 1]
-        steps = block["step"]
-        steps[observed:] = steps[observed - 1] + np.arange(1, block.size - observed + 1)
+def _filled(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` and after them, up to ``size`` rows, copies of the last of
+    them, each with its own ``step``: an extinct world is frozen at its
+    first extinct row."""
+    if rows.size == size:
+        return rows
+    block = np.empty(size, dtype=DATASET_DTYPE)
+    block[: rows.size] = rows
+    block[rows.size :] = rows[-1]
+    block["step"][rows.size :] = rows["step"][-1] + np.arange(1, size - rows.size + 1)
+    return block
 
 
 def collect_world_run(w, replication: int = 0) -> np.ndarray:
     """Advance a fresh world to its horizon: one ``DATASET_DTYPE`` row per
     step, observed up to the first extinct one and filled after it."""
-    block = np.empty(w.params.horizon - w.step_index, dtype=DATASET_DTYPE)
-    _fill_tail(block, _observe_run(w, replication, block))
-    return block
+    size = w.params.horizon - w.step_index
+    return _filled(_observed_rows(w, replication), size)
 
 
 @dataclass(frozen=True)
@@ -310,8 +315,7 @@ def _sweep_task(base: SimParams, task) -> np.ndarray:
     tail."""
     scenario, replication, seed = task
     p = dataclasses.replace(scenario.apply(base), seed=seed)
-    block = np.empty(p.horizon, dtype=DATASET_DTYPE)
-    return block[: _observe_run(init_world(p), replication, block)]
+    return _observed_rows(init_world(p), replication)
 
 
 _row_values = operator.attrgetter(*CSV_COLUMNS)
@@ -397,10 +401,7 @@ def _sweep_blocks(grid: SweepGrid, jobs: int, progress):
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             results = _in_order(pool, run_task, tasks, jobs * _AHEAD_PER_JOB)
         for done, rows in enumerate(results, start=1):
-            block = np.empty(grid.horizon, dtype=DATASET_DTYPE)
-            block[: rows.size] = rows
-            _fill_tail(block, rows.size)
-            yield block
+            yield _filled(rows, grid.horizon)
             if progress is not None:
                 progress(done, total)
 
@@ -468,77 +469,62 @@ def _joined_cells(rows: np.ndarray, columns) -> map:
     return map(",".join, zip(*map(cells, columns)))
 
 
-def _new_runs(rows: np.ndarray, columns) -> np.ndarray:
-    """Whether each of ``rows`` differs from the row before it in the bytes
-    of ``columns``.  The first row always does, and so does every row when
-    a column holds objects, whose bytes are references."""
-    part = np.dtype([(name, rows.dtype[name]) for name in columns])
-    new = np.ones(len(rows), dtype=bool)
-    if not part.hasobject:
-        raw = np.array(rows[list(columns)], dtype=part).view(np.uint8).reshape(len(rows), -1)
-        new[1:] = (raw[1:] != raw[:-1]).any(axis=1)
-    return new
-
-
 def _blocks(tables):
     """The rows of ``tables``, an iterable of tables of one dtype, in blocks
-    of ``_TEXT_BLOCK`` rows, the last one shorter.  Each block is yielded
-    after the row before it, as rows 1 on of one buffer reused from block
-    to block; the first block's row 0 is unset."""
+    of ``_TEXT_BLOCK`` rows, the last one shorter, gathered in one buffer
+    reused from block to block."""
     buffer, filled = None, 0
     for table in tables:
         if buffer is None:
-            buffer = np.empty(_TEXT_BLOCK + 1, dtype=table.dtype)
+            buffer = np.empty(_TEXT_BLOCK, dtype=table.dtype)
         start = 0
         while start < len(table):
             rows = table[start : start + _TEXT_BLOCK - filled]
-            buffer[1 + filled : 1 + filled + len(rows)] = rows
+            buffer[filled : filled + len(rows)] = rows
             filled += len(rows)
             start += len(rows)
             if filled == _TEXT_BLOCK:
                 yield buffer
-                buffer[0] = buffer[_TEXT_BLOCK]
                 filled = 0
     if filled:
-        yield buffer[: 1 + filled]
+        yield buffer[:filled]
 
 
 def _table_text(tables, split: str):
     """The CSV lines of the rows of ``tables``, an iterable of tables of one
-    dtype, one string per block of ``_TEXT_BLOCK`` rows.
+    packed dtype, one string per block of ``_TEXT_BLOCK`` rows.
 
-    The cells before column ``split`` are formatted once per run of rows
-    whose bytes in them are equal, such as a scenario's rows, and the cells
-    after it once per run equal in them, such as the rows of an extinct
-    replication.  A run goes on across the tables: each row is compared with
-    the row before it, whichever table that came from.  Every row formats
-    its own ``split`` cell.  Bytes, not ``==``: a ``-0.0`` after a ``0.0`` is
-    formatted again.
+    Within a block, the cells before column ``split`` are formatted once per
+    run of rows whose bytes before it are equal, such as a scenario's rows,
+    and the cells after it once per run equal after it, such as the rows of
+    an extinct replication.  Every row formats its own ``split`` cell, and
+    every cell of a dtype that holds objects, whose bytes are references.
+    Bytes, not ``==``: a ``-0.0`` after a ``0.0`` is formatted again.
     """
-    head = tail = None
     for rows in _blocks(tables):
         names = rows.dtype.names
         before, after = names[: names.index(split)], names[names.index(split) + 1 :]
-        new_head = _new_runs(rows, before)[1:]
-        new_tail = _new_runs(rows, after)[1:]
-        if head is None:
-            # the first row has no row before it
-            new_head[0] = new_tail[0] = True
-        rows = rows[1:]
-        heads = [head, *_joined_cells(rows[new_head], before)]
-        tails = [tail, *_joined_cells(rows[new_tail], after)]
+        new_head, new_tail = np.ones((2, len(rows)), dtype=bool)
+        if not rows.dtype.hasobject:
+            raw = rows.view(np.uint8).reshape(len(rows), -1)
+            differ = raw[1:] != raw[:-1]
+            start = rows.dtype.fields[split][1]
+            end = start + rows.dtype[split].itemsize
+            new_head[1:] = differ[:, :start].any(axis=1)
+            new_tail[1:] = differ[:, end:].any(axis=1)
+        heads = list(_joined_cells(rows[new_head], before))
+        tails = list(_joined_cells(rows[new_tail], after))
         spell = _CELL_FORMATS[rows.dtype[split].kind]
         yield "".join(
             [
                 f"{heads[h]},{cell},{tails[t]}\n"
                 for h, t, cell in zip(
-                    np.cumsum(new_head).tolist(),
-                    np.cumsum(new_tail).tolist(),
+                    (np.cumsum(new_head) - 1).tolist(),
+                    (np.cumsum(new_tail) - 1).tolist(),
                     map(spell, rows[split].tolist()),
                 )
             ]
         )
-        head, tail = heads[-1], tails[-1]
 
 
 def _write_table(path, tables, dtype: np.dtype, split: str) -> None:
@@ -556,6 +542,18 @@ def write_dataset(data, path) -> None:
     there to the row before it."""
     tables = [data.table] if isinstance(data, SweepDataset) else data
     _write_table(path, tables, DATASET_DTYPE, "step")
+
+
+def float_table_text(columns, table: np.ndarray):
+    """A header of ``columns``, then the CSV lines of the 2-D float
+    ``table``, one string per block of ``_TEXT_BLOCK`` rows with each cell
+    spelled by ``repr``; a block at a time, so the table is never held
+    whole as Python floats."""
+    yield ",".join(columns) + "\n"
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _TEXT_BLOCK):
+        block = table[start : start + _TEXT_BLOCK]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _read_header(fh, columns) -> None:

@@ -161,7 +161,7 @@ def test_ode_trajectory_csv(config, tmp_path):
     {"isolate_symptomatic": True, "social_distancing": 0.3},
 ], ids=["default", "isolated-distanced"])
 def test_ode_csv_matches_formatting_every_row(tmp_path, overrides):
-    # 10,001 rows: more than two of the writer's 4,096-row blocks
+    # 10,001 rows: nineteen of the writer's 512-row blocks and part of a twentieth
     p = dataclasses.replace(FAST, **overrides)
     cfg = tmp_path / "params.cfg"
     cfg.write_text(params_to_config(p))

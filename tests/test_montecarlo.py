@@ -43,6 +43,7 @@ from sepaird.montecarlo import (
     write_manifest,
     write_quantiles,
     _BLOCK,
+    _TEXT_BLOCK,
     _replications,
     _sweep_task,
 )
@@ -621,10 +622,17 @@ def test_write_dataset_matches_formatting_every_cell(tmp_path):
     rows.append(make_row(other, 1, 10, mean_r0=math.nan))  # one scenario cell only
     rows.append(make_row(other, 1, 11, mean_r0=math.nan, extinct=True))
     # a run of repeats across the edge of the first block of rows written,
-    # then one that ends right before the edge of the second
-    rows += [make_row(other, 2, step, share_infected=0.5) for step in range(1, 4200)]
-    rows += [make_row(other, 2, step, mean_fatality=1e-300) for step in range(4200, 8180)]
-    assert len(rows) == 2 * 4096
+    # up to the last row of the second; the third starts on a -0.0 after that
+    # row's 0.0, and a run of the fourth ends right before the fifth's edge
+    block = _TEXT_BLOCK
+    rows += [make_row(other, 2, step, share_infected=0.5) for step in range(1, 2 * block - 12)]
+    rows += [
+        make_row(other, 2, step, share_infected=0.5, mean_r0=-0.0)
+        for step in range(2 * block - 12, 3 * block)
+    ]
+    steps = range(3 * block, 4 * block - 12)
+    rows += [make_row(other, 2, step, mean_fatality=1e-300) for step in steps]
+    assert len(rows) == 4 * block
     rows.append(make_row(other, 3, 1, mean_fatality=1e-300))
     table = SweepDataset.from_rows(rows).table
     assert np.isnan(table["mean_r0"]).sum() == 6
@@ -634,9 +642,20 @@ def test_write_dataset_matches_formatting_every_cell(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[6].split(",")[CSV_COLUMNS.index("mean_r0")] == "-0.0"
     assert lines[7].split(",")[CSV_COLUMNS.index("mean_r0")] == "0.0"
+
+    def differing(row):
+        """The columns whose cells differ between ``row`` and the row before it."""
+        cells = zip(lines[row].split(","), lines[row + 1].split(","))
+        return [name for name, (a, b) in zip(CSV_COLUMNS, cells) if a != b]
+
+    # the first row of a block against the last row of the block before it
+    assert differing(block) == ["step"]
+    assert differing(2 * block) == ["step", "mean_r0"]
+    assert lines[2 * block + 1].split(",")[CSV_COLUMNS.index("mean_r0")] == "-0.0"
     # the rows as tables of uneven sizes, one of them empty, cut inside runs,
     # between the two zeros and on either side of the blocks' edges
-    cuts = [0, 1, 6, 9, 4095, 4096, 4096, 4097, 5000, 8191, len(table)]
+    cuts = [0, 1, 6, 9, block - 1, block, block, block + 1, 2 * block - 1, 2 * block + 1]
+    cuts += [3 * block + 5, 4 * block - 1, len(table)]
     pieces = tmp_path / "pieces.csv"
     write_dataset((table[a:b] for a, b in zip(cuts, cuts[1:])), pieces)
     assert pieces.read_bytes() == path.read_bytes()

@@ -111,3 +111,27 @@ def test_no_private_attribute_of_another_module_is_read(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         foreign = _foreign_private_reads(fh.read())
     assert not foreign, f"{module} reads private attributes it does not own: {foreign}"
+
+
+def _foreign_private_imports(tree: ast.Module) -> dict:
+    """The private names (``from .other import _name``) imported from
+    another module, mapped to their line."""
+    return {
+        alias.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if _is_private(alias.name)
+    }
+
+
+def test_private_import_check_flags_a_foreign_name():
+    source = "from .montecarlo import _BLOCK, DatasetError\nfrom .abm import __doc__\n"
+    assert _foreign_private_imports(ast.parse(source)) == {"_BLOCK": 1}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_of_another_module_is_imported(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        foreign = _foreign_private_imports(ast.parse(fh.read()))
+    assert not foreign, f"{module} imports private names of other modules: {foreign}"
